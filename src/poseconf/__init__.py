@@ -18,6 +18,7 @@ from .coverage import (
     CoverageParams,
     ImageDims,
     InlierSet,
+    coverage_fraction,
     coverage_map,
     coverage_score,
     neighborhood_half_extents,

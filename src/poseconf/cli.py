@@ -65,7 +65,7 @@ def _write_manifest(
         "duration_s": round(time.perf_counter() - started, 6),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -188,13 +188,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     n_queries = len(group_by_query(records))
 
     if args.best_only:
-        selected = []
+        selected, selected_scores = [], []
         for group in group_by_query(records).values():
-            scores = [predict_record(model, c) for c in group]
-            selected.append(group[select_best(group, scores)])
+            group_scores = [predict_record(model, c) for c in group]
+            chosen = select_best(group, group_scores)
+            selected.append(group[chosen])
+            selected_scores.append(group_scores[chosen])
         records = selected
-
-    scores = np.asarray([predict_record(model, r) for r in records])
+        scores = np.asarray(selected_scores)
+    else:
+        scores = np.asarray([predict_record(model, r) for r in records])
     counts = np.asarray([float(r.inlier_count) for r in records])
 
     rows = []
@@ -320,7 +323,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }
     report_path = os.path.join(args.out_dir, "report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     outputs.append(report_path)
 
@@ -361,7 +364,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     with open(selections_path, "w", encoding="utf-8") as fh:
         for record, confidence in zip(model_selected, model_confidence):
             obj = serialize_record(record, {"confidence": confidence})
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            fh.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
 
     accuracy_rows = []
     for meters in thresholds_m:

@@ -390,27 +390,37 @@ def from_json_dict(obj: Mapping) -> ConfidenceModel:
         )
     try:
         feature_set = parse_feature_set(obj["feature_set"])
-        standardizer = Standardizer(
-            np.asarray(obj["standardizer"]["means"], dtype=np.float64),
-            np.asarray(obj["standardizer"]["stds"], dtype=np.float64),
-        )
+        weights = np.asarray(obj["weights"], dtype=np.float64)
+        bias = float(obj["bias"])
+        means = np.asarray(obj["standardizer"]["means"], dtype=np.float64)
+        stds = np.asarray(obj["standardizer"]["stds"], dtype=np.float64)
+        # Python's json module reads NaN and Infinity; a model holding one
+        # would score records as NaN
+        for name, values in (
+            ("weights", weights),
+            ("bias", bias),
+            ("standardizer.means", means),
+            ("standardizer.stds", stds),
+        ):
+            if not np.all(np.isfinite(values)):
+                raise SchemaError(field=name, message="model numbers must be finite")
         model = ConfidenceModel(
             feature_set=feature_set,
-            weights=np.asarray(obj["weights"], dtype=np.float64),
-            bias=float(obj["bias"]),
-            standardizer=standardizer,
+            weights=weights,
+            bias=bias,
+            standardizer=Standardizer(means, stds),
             training_meta=dict(obj.get("training_meta", {})),
         )
     except KeyError as exc:
         raise SchemaError(field=str(exc), message=f"model document missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(message=f"malformed model document: {exc}") from exc
     return model
 
 
 def save_model(model: ConfidenceModel, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(model), fh, indent=2, sort_keys=True)
+        json.dump(to_json_dict(model), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -5,6 +5,11 @@ rectangular neighborhood centred on it, and the coverage score is the
 covered fraction of the image.  The neighborhood defaults to roughly
 1/15 of each image dimension, which penalizes inlier sets condensed
 into a few small clusters.
+
+`coverage_fraction` computes the score exactly from the inlier windows
+and is what feature assembly uses.  The per-pixel raster (`coverage_map`,
+`coverage_score`) remains for PGM export and as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -178,6 +183,48 @@ def coverage_map(
 def coverage_score(cmap: CoverageMap) -> float:
     """Covered pixels divided by total pixels, in [0, 1]."""
     return float(np.count_nonzero(cmap.covered)) / cmap.dims.pixel_count
+
+
+def coverage_fraction(
+    inliers: InlierSet, params: CoverageParams = CoverageParams()
+) -> float:
+    """Exactly coverage_score(coverage_map(inliers, params)), without the raster.
+
+    The covered pixels are the union of each inlier's (2*hx+1) x (2*hy+1)
+    window clipped to the image.  The union is counted on a grid compressed
+    to the windows' distinct x and y edges, so memory and time grow with the
+    inlier count, not with the image area: at most min(2n, W+1) x
+    min(2n, H+1) cells for n inliers on a W x H image.
+    """
+    dims = inliers.dims
+    hx, hy = neighborhood_half_extents(dims, params)
+    xs = inliers.points[:, 0]
+    ys = inliers.points[:, 1]
+    # each window is the half-open pixel range [x0, x1) x [y0, y1)
+    x0, x1 = np.maximum(xs - hx, 0), np.minimum(xs + hx + 1, dims.width)
+    y0, y1 = np.maximum(ys - hy, 0), np.minimum(ys + hy + 1, dims.height)
+    ex = np.unique(np.concatenate([x0, x1]))
+    ey = np.unique(np.concatenate([y0, y1]))
+    i0, i1 = np.searchsorted(ex, x0), np.searchsorted(ex, x1)
+    j0, j1 = np.searchsorted(ey, y0), np.searchsorted(ey, y1)
+
+    # 2-D difference array over grid cells; after both prefix sums a cell
+    # holds the number of windows covering it.  Cell (j, i) spans
+    # [ex[i], ex[i+1]) x [ey[j], ey[j+1]); the last row and column lie
+    # past every window and stay zero.
+    diff = np.zeros((len(ey), len(ex)), dtype=np.int32)
+    np.add.at(diff, (j0, i0), 1)
+    np.add.at(diff, (j0, i1), -1)
+    np.add.at(diff, (j1, i0), -1)
+    np.add.at(diff, (j1, i1), 1)
+    np.cumsum(diff, axis=0, dtype=np.int32, out=diff)
+    np.cumsum(diff, axis=1, dtype=np.int32, out=diff)
+    covered = diff[:-1, :-1] > 0
+    # einsum reduces the bool grid in buffered chunks; `@` would first cast
+    # all of it to int64
+    covered_height = np.einsum("j,ji->i", np.diff(ey), covered)
+    area = int(covered_height @ np.diff(ex))
+    return area / dims.pixel_count
 
 
 def write_pgm(cmap: CoverageMap, path) -> None:

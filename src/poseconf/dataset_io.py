@@ -163,7 +163,14 @@ def _as_point_list(value, field: str, line: int) -> np.ndarray:
                     field=field,
                     message=f"entry {i} coordinate {j} is not an integer: {v!r}",
                 )
-            points[i, j] = v
+            try:
+                points[i, j] = v
+            except OverflowError:
+                raise SchemaError(
+                    line=line,
+                    field=field,
+                    message=f"entry {i} coordinate {j} is out of range: {v!r}",
+                ) from None
     return points
 
 
@@ -299,7 +306,9 @@ def record_lines(
 ) -> Iterator[str]:
     for i, record in enumerate(records):
         extra = extras[i] if extras is not None else None
-        yield json.dumps(serialize_record(record, extra), separators=(",", ":"))
+        yield json.dumps(
+            serialize_record(record, extra), separators=(",", ":"), allow_nan=False
+        )
 
 
 def write_records(

@@ -15,7 +15,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .coverage import CoverageParams, coverage_map, coverage_score
+from .coverage import CoverageParams, coverage_fraction
+
+# Bound here but not called: the benchmark tracer (perfbench/trace.py) wraps
+# the raster coverage functions through these attributes of this module.
+from .coverage import coverage_map, coverage_score  # noqa: F401
 from .errors import (
     DimensionMismatch,
     InsufficientData,
@@ -90,9 +94,9 @@ def assemble(
         if name == FEATURE_INLIER_COUNT:
             values[i] = float(len(record.query_inliers))
         elif name == FEATURE_QUERY_COVERAGE:
-            values[i] = coverage_score(coverage_map(record.query_inliers, params))
+            values[i] = coverage_fraction(record.query_inliers, params)
         elif name == FEATURE_DB_COVERAGE:
-            values[i] = coverage_score(coverage_map(record.db_inliers, params))
+            values[i] = coverage_fraction(record.db_inliers, params)
         else:  # pv_score
             if record.pv_score is None:
                 raise MissingFeature(

@@ -65,8 +65,9 @@ class ErrorThreshold:
     max_rotation_deg: float = 10.0
 
     def __post_init__(self):
-        if not self.max_translation_m > 0:
-            raise InvariantViolation("max_translation_m must be > 0")
+        # finite, so every threshold written to a strict JSON report is valid
+        if not (self.max_translation_m > 0 and math.isfinite(self.max_translation_m)):
+            raise InvariantViolation("max_translation_m must be finite and > 0")
         if not 0 < self.max_rotation_deg <= 180:
             raise InvariantViolation("max_rotation_deg must be in (0, 180]")
 

@@ -33,6 +33,7 @@ from poseconf.coverage import (
     CoverageParams,
     ImageDims,
     InlierSet,
+    coverage_fraction,
     coverage_map,
     coverage_score,
     neighborhood_half_extents,
@@ -141,7 +142,9 @@ def test_criterion_01_coverage_oracle_equivalence():
                 & (np.abs(np.arange(h)[None, :, None] - py) <= hy),
                 axis=0,
             )
-        if not np.array_equal(fast, brute):
+        # both the raster and the raster-free score must match the oracle
+        exact = coverage_fraction(inliers) == np.count_nonzero(brute) / (w * h)
+        if not (np.array_equal(fast, brute) and exact):
             mismatches += 1
     elapsed = time.perf_counter() - started
     _report(

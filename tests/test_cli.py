@@ -6,13 +6,15 @@ exercised the same way the console script runs them.
 
 import csv
 import json
+from collections import Counter
 
 import pytest
 
+import poseconf.cli
 from conftest import make_record
 from poseconf.cli import main
 from poseconf.confidence_model import load_model
-from poseconf.dataset_io import read_records, write_records
+from poseconf.dataset_io import read_records, serialize_record, write_records
 
 SYNTH_ARGS = [
     "synth",
@@ -175,6 +177,33 @@ class TestScore:
         for line in out.read_text().splitlines():
             assert 0.0 < json.loads(line)["confidence"] < 1.0
 
+    def test_out_of_range_coordinate_is_a_one_line_error(self, workspace, tmp_path, capsys):
+        obj = serialize_record(make_record())
+        obj["query_inliers"][1] = [2**70, 7]
+        data = tmp_path / "huge.jsonl"
+        data.write_text(json.dumps(obj) + "\n")
+        out = tmp_path / "scored.jsonl"
+        code = main(["score", "--data", str(data),
+                     "--model", str(workspace["model"]), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "SchemaError" in err[0] and "line 1" in err[0] and "query_inliers" in err[0]
+        assert not out.exists()
+
+    def test_non_finite_model_is_a_one_line_error(self, workspace, tmp_path, capsys):
+        doc = json.loads(workspace["model"].read_text())
+        doc["weights"][0] = float("nan")
+        model_path = tmp_path / "nan.json"
+        model_path.write_text(json.dumps(doc))  # json writes the NaN token
+        out = tmp_path / "scored.jsonl"
+        code = main(["score", "--data", str(workspace["test"]),
+                     "--model", str(model_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "SchemaError" in err[0] and "weights" in err[0]
+        assert not out.exists()
+
     def test_empty_input_gives_empty_output(self, workspace, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -281,7 +310,24 @@ class TestEval:
                      "--thresholds", "one meter"])
         assert code == 2
 
-    def test_best_only_scores_one_record_per_query(self, workspace, tmp_path):
+    def test_infinite_threshold_is_a_one_line_error(self, workspace, tmp_path, capsys):
+        out_dir = tmp_path / "eval"
+        code = main(["eval", "--data", str(workspace["test"]),
+                     "--model", str(workspace["model"]),
+                     "--out-dir", str(out_dir), "--thresholds", "inf,10"])
+        assert code == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (out_dir / "report.json").exists()
+
+    def test_best_only_scores_one_record_per_query(self, workspace, tmp_path, monkeypatch):
+        calls = Counter()
+        original = poseconf.cli.predict_record
+
+        def counting(model, record):
+            calls[(record.query_id, record.candidate_rank)] += 1
+            return original(model, record)
+
+        monkeypatch.setattr(poseconf.cli, "predict_record", counting)
         out_dir = tmp_path / "eval"
         code = main(["eval", "--data", str(workspace["test"]),
                      "--model", str(workspace["model"]),
@@ -290,6 +336,8 @@ class TestEval:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["best_only"] is True
         assert report["n_records"] == report["n_queries"]
+        # the selection pass's scores are reused: each record is scored once
+        assert calls and set(calls.values()) == {1}
 
 
 class TestRerank:

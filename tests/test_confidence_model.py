@@ -407,3 +407,31 @@ class TestSerialization:
         doc["bias"] = "very"
         with pytest.raises(SchemaError):
             from_json_dict(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["weights", "bias", "means", "stds"])
+    def test_non_finite_numbers_rejected(self, field, value):
+        doc = to_json_dict(self.make_trained())
+        if field == "bias":
+            doc["bias"] = value
+        elif field == "weights":
+            doc["weights"][0] = value
+        else:
+            doc["standardizer"][field][0] = value
+        with pytest.raises(SchemaError, match="finite") as info:
+            from_json_dict(doc)
+        assert info.value.field.endswith(field)
+
+    def test_number_beyond_float_range_rejected(self):
+        doc = to_json_dict(self.make_trained())
+        doc["weights"][0] = 2**2000
+        with pytest.raises(SchemaError):
+            from_json_dict(doc)
+
+    def test_non_finite_model_is_not_written(self, tmp_path):
+        model = self.make_trained()
+        broken = ConfidenceModel(
+            model.feature_set, np.array([np.nan]), model.bias, model.standardizer
+        )
+        with pytest.raises(ValueError):
+            save_model(broken, tmp_path / "model.json")

@@ -2,7 +2,8 @@
 
 The reference implementation below marks pixels by direct broadcast over
 all inliers, O(n * width * height); the library's separable scan must
-match it bit for bit.
+match it bit for bit, and the raster-free coverage_fraction must equal
+the raster's score exactly.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from poseconf.coverage import (
     CoverageParams,
     ImageDims,
     InlierSet,
+    coverage_fraction,
     coverage_map,
     coverage_score,
     neighborhood_half_extents,
@@ -211,6 +213,31 @@ def test_adding_a_point_never_shrinks_coverage(points, extra):
     # every pixel covered before stays covered
     assert np.all(grown.covered >= base.covered)
     assert coverage_score(grown) >= coverage_score(base)
+
+
+@st.composite
+def inliers_and_params(draw):
+    """Any image from 1x1 up, with points biased to borders and duplicates."""
+    w = draw(st.integers(1, 48))
+    h = draw(st.integers(1, 48))
+    xs = st.one_of(st.sampled_from([0, w - 1]), st.integers(0, w - 1))
+    ys = st.one_of(st.sampled_from([0, h - 1]), st.integers(0, h - 1))
+    points = draw(st.lists(st.tuples(xs, ys), max_size=30))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=5))  # duplicates
+    params = CoverageParams(
+        neighborhood_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        min_half_extent=draw(st.integers(1, 6)),
+    )
+    inliers = InlierSet(np.array(points, dtype=np.int64).reshape(-1, 2), ImageDims(w, h))
+    return inliers, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=inliers_and_params())
+def test_fraction_equals_raster_score(case):
+    inliers, params = case
+    assert coverage_fraction(inliers, params) == coverage_score(coverage_map(inliers, params))
 
 
 def test_pgm_export_bytes(tmp_path):

@@ -141,6 +141,13 @@ class TestParseRecord:
         with pytest.raises(SchemaError):
             parse_record([1, 2, 3])
 
+    @pytest.mark.parametrize("value", [2**70, -(2**70), 2**63])
+    def test_out_of_range_coordinate_names_the_field_and_line(self, value):
+        line = json.dumps(record_obj(db_inliers=[[5, 5], [12, value], [25, 20]]))
+        with pytest.raises(SchemaError, match="out of range") as info:
+            parse_records(["", line])
+        assert (info.value.line, info.value.field) == (2, "db_inliers")
+
 
 class TestParseStream:
     def test_empty_stream(self):
@@ -203,6 +210,12 @@ class TestSerialization:
         lines = list(record_lines([record], extras=[{"confidence": 0.875}]))
         assert json.loads(lines[0])["confidence"] == 0.875
         assert parse_records(lines) == [record]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_extras_are_not_written(self, value):
+        record = parse_record(record_obj())
+        with pytest.raises(ValueError):
+            list(record_lines([record], extras=[{"confidence": value}]))
 
     def test_file_round_trip(self, tmp_path):
         records = [
