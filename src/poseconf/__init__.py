@@ -49,6 +49,7 @@ from .evaluation import (
     pr_curve_from_scores,
     rerank,
     select_max_inliers,
+    sweep_scores,
     threshold_sweep,
 )
 from .features import (

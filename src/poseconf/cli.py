@@ -40,6 +40,7 @@ from .evaluation import (
     pr_curve_from_scores,
     select_best,
     select_max_inliers,
+    sweep_scores,
 )
 from .features import parse_feature_set
 from .plots import line_plot_svg, write_svg
@@ -53,9 +54,12 @@ def _write_manifest(
     inputs: Sequence[str],
     outputs: Sequence[str],
     started: float,
+    facts: dict | None = None,
 ) -> None:
+    """Write the run manifest; `facts` adds deterministic results of the run."""
     config = {k: v for k, v in vars(args).items() if k not in ("handler", "subcommand")}
     manifest = {
+        **(facts or {}),
         "subcommand": subcommand,
         "tool_version": __version__,
         "config": config,
@@ -126,14 +130,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     threshold = ErrorThreshold(args.threshold_m, args.threshold_deg)
     feature_set = parse_feature_set(args.features)
-    config = TrainConfig(
-        learning_rate=args.learning_rate,
-        max_epochs=args.epochs,
-        tol=args.tol,
-        l2=args.l2,
-        seed=args.seed,
-    )
-    records = build_extended(read_records(args.data))
+    config = TrainConfig(max_epochs=args.epochs, tol=args.tol, l2=args.l2, seed=args.seed)
+    loaded = read_records(args.data)
+    records = build_extended(loaded)
     label_records(records, threshold)  # validate ground truth up front
     train_records, test_records = grouped_split(
         records, SplitSpec(args.split, args.seed)
@@ -149,11 +148,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.train_out:
         write_records(train_records, args.train_out)
         outputs.append(args.train_out)
-    _write_manifest(args.out + ".manifest.json", "train", args, [args.data], outputs, started)
+    facts = {
+        "build_extended": {"n_in": len(loaded), "n_dropped": len(loaded) - len(records)},
+        "fit": {
+            "converged": result.converged,
+            "iterations": result.epochs_run,
+            "final_loss": result.final_loss,
+        },
+    }
+    _write_manifest(
+        args.out + ".manifest.json", "train", args, [args.data], outputs, started, facts
+    )
+    if not result.converged:
+        print(
+            f"warning: fit did not converge within {result.epochs_run} iterations "
+            f"(final loss {result.final_loss:.6f})",
+            file=sys.stderr,
+        )
     print(
         f"trained {len(feature_set)}-feature model on {len(train_records)} records "
         f"({len(test_records)} held out); final loss {result.final_loss:.6f} "
-        f"after {result.epochs_run} epochs"
+        f"after {result.epochs_run} iterations"
     )
     return 0
 
@@ -198,40 +213,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
         scores = np.asarray(selected_scores)
     else:
         scores = np.asarray([predict_record(model, r) for r in records])
-    counts = np.asarray([float(r.inlier_count) for r in records])
-
-    rows = []
-    labels_by_threshold = []
-    for threshold in thresholds:
-        labels = labels_only(label_records(records, threshold))
-        labels_by_threshold.append(labels)
-        n_pos = int(labels.sum())
-        if n_pos == 0 or n_pos == len(labels):
-            rows.append((threshold, len(labels), n_pos, None, None))
-        else:
-            rows.append(
-                (
-                    threshold,
-                    len(labels),
-                    n_pos,
-                    pr_curve_from_scores(scores, labels).auc,
-                    pr_curve_from_scores(counts, labels).auc,
-                )
-            )
+    rows = sweep_scores(records, scores, thresholds)
+    primary = rows[0]
+    primary_labels = labels_only(label_records(records, thresholds[0]))
 
     outputs = []
-    primary = rows[0]
-    model_curve = inliers_curve = None
-    if primary[3] is None:
+    if primary.degenerate:
         print(
             "warning: labeling at the primary threshold is single-class; "
             "PR curves skipped",
             file=sys.stderr,
         )
     else:
-        labels = labels_by_threshold[0]
-        model_curve = pr_curve_from_scores(scores, labels)
-        inliers_curve = pr_curve_from_scores(counts, labels)
+        counts = np.asarray([float(r.inlier_count) for r in records])
+        model_curve = pr_curve_from_scores(scores, primary_labels)
+        inliers_curve = pr_curve_from_scores(counts, primary_labels)
         curves_csv = os.path.join(args.out_dir, "pr_curves.csv")
         with open(curves_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -256,16 +252,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
             ["threshold_m", "threshold_deg", "n_records", "n_positive",
              "model_auc", "inliers_auc", "degenerate"]
         )
-        for threshold, n, n_pos, model_auc, inliers_auc in rows:
+        for row in rows:
             writer.writerow(
                 [
-                    repr(threshold.max_translation_m),
-                    repr(threshold.max_rotation_deg),
-                    n,
-                    n_pos,
-                    "" if model_auc is None else repr(model_auc),
-                    "" if inliers_auc is None else repr(inliers_auc),
-                    int(model_auc is None),
+                    repr(row.threshold.max_translation_m),
+                    repr(row.threshold.max_rotation_deg),
+                    row.n_records,
+                    row.n_positive,
+                    "" if row.degenerate else repr(row.model_auc),
+                    "" if row.degenerate else repr(row.inliers_auc),
+                    int(row.degenerate),
                 ]
             )
     outputs.append(thresholds_csv)
@@ -276,13 +272,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise InvalidConfig("--ablate requires --train-data")
         train_records = build_extended(read_records(args.train_data))
         train_labels = labels_only(label_records(train_records, thresholds[0]))
-        eval_labels = labels_by_threshold[0]
         subsets = _leave_one_out_subsets(model.feature_set)
         ablation_rows = ablation(
             train_records,
             train_labels,
             records,
-            eval_labels,
+            primary_labels,
             subsets,
             params=model.coverage_params(),
         )
@@ -302,20 +297,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "translation_m": thresholds[0].max_translation_m,
             "rotation_deg": thresholds[0].max_rotation_deg,
         },
-        "model_auc": primary[3],
-        "inliers_auc": primary[4],
-        "degenerate": primary[3] is None,
+        "model_auc": primary.model_auc,
+        "inliers_auc": primary.inliers_auc,
+        "degenerate": primary.degenerate,
         "thresholds": [
             {
-                "translation_m": t.max_translation_m,
-                "rotation_deg": t.max_rotation_deg,
-                "n_records": n,
-                "n_positive": n_pos,
-                "model_auc": model_auc,
-                "inliers_auc": inliers_auc,
-                "degenerate": model_auc is None,
+                "translation_m": row.threshold.max_translation_m,
+                "rotation_deg": row.threshold.max_rotation_deg,
+                "n_records": row.n_records,
+                "n_positive": row.n_positive,
+                "model_auc": row.model_auc,
+                "inliers_auc": row.inliers_auc,
+                "degenerate": row.degenerate,
             }
-            for t, n, n_pos, model_auc, inliers_auc in rows
+            for row in rows
         ],
         "ablation": None
         if ablation_rows is None
@@ -335,9 +330,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         outputs,
         started,
     )
-    if primary[3] is not None:
+    if not primary.degenerate:
         print(
-            f"model AUC {primary[3]:.4f} vs inliers AUC {primary[4]:.4f} "
+            f"model AUC {primary.model_auc:.4f} vs inliers AUC {primary.inliers_auc:.4f} "
             f"on {len(records)} records"
         )
     return 0
@@ -456,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="inliers,qcov,dbcov",
         help="comma list: inliers, qcov, dbcov, pv",
     )
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=5000)
+    p.add_argument("--epochs", type=int, default=5000, help="Newton iteration cap")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--l2", type=float, default=0.0)
     p.set_defaults(handler=cmd_train)

@@ -32,6 +32,7 @@ from .errors import (
 from .pose_metrics import ErrorThreshold, Pose, is_correct, pose_error
 
 MIN_CORRESPONDENCES = 3  # below this, estimation is trivially failed
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,12 +124,31 @@ def _require(obj: Mapping, field: str, line: int):
     return obj[field]
 
 
-def _as_int(value, field: str, line: int, minimum: int | None = None) -> int:
+def _as_int(
+    value, field: str, line: int, minimum: int | None = None, maximum: int | None = None
+) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(line=line, field=field, message=f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise SchemaError(line=line, field=field, message=f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise SchemaError(line=line, field=field, message=f"is out of range: {value!r}")
     return value
+
+
+def _as_image_dims(obj: Mapping, image: str, line: int) -> ImageDims:
+    # coverage counts pixels in int64, so a larger image cannot be scored
+    width, height = (
+        _as_int(_require(obj, field, line), field, line, 1, _INT64_MAX)
+        for field in (f"{image}_width", f"{image}_height")
+    )
+    if width * height > _INT64_MAX:
+        raise SchemaError(
+            line=line,
+            field=f"{image}_height",
+            message=f"{width} x {height} pixels is out of range",
+        )
+    return ImageDims(width, height)
 
 
 def _as_real(value, field: str, line: int) -> float:
@@ -190,14 +210,8 @@ def parse_record(obj: Mapping, line: int = 0) -> PoseRecord:
     if not isinstance(query_id, str):
         raise SchemaError(line=line, field="query_id", message="expected a string")
     candidate_rank = _as_int(_require(obj, "candidate_rank", line), "candidate_rank", line, 1)
-    query_dims = ImageDims(
-        _as_int(_require(obj, "query_width", line), "query_width", line, 1),
-        _as_int(_require(obj, "query_height", line), "query_height", line, 1),
-    )
-    db_dims = ImageDims(
-        _as_int(_require(obj, "db_width", line), "db_width", line, 1),
-        _as_int(_require(obj, "db_height", line), "db_height", line, 1),
-    )
+    query_dims = _as_image_dims(obj, "query", line)
+    db_dims = _as_image_dims(obj, "db", line)
     num_correspondences = _as_int(
         _require(obj, "num_correspondences", line), "num_correspondences", line, 0
     )

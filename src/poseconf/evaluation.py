@@ -254,13 +254,22 @@ def threshold_sweep(
     model: ConfidenceModel,
     thresholds: Sequence[ErrorThreshold],
 ) -> list[SweepRow]:
-    """Relabel the records at each threshold and compare model vs count AUC.
-
-    The model is applied as-is — scores are computed once and reused, only
-    the labels change.  Single-class labelings (nothing correct, or
-    everything correct) give a degenerate row with both AUCs absent.
-    """
+    """Score the records once with the model as-is, then sweep_scores."""
     scores = np.asarray([predict_record(model, r) for r in records])
+    return sweep_scores(records, scores, thresholds)
+
+
+def sweep_scores(
+    records: Sequence[PoseRecord],
+    scores,
+    thresholds: Sequence[ErrorThreshold],
+) -> list[SweepRow]:
+    """Relabel the records at each threshold and compare score vs count AUC.
+
+    Only the labels change between rows.  Single-class labelings (nothing
+    correct, or everything correct) give a degenerate row with both AUCs
+    absent.
+    """
     counts = np.asarray([float(r.inlier_count) for r in records])
     rows = []
     for threshold in thresholds:

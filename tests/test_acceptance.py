@@ -206,8 +206,7 @@ def test_criterion_03_gradient_matches_finite_differences():
 
 
 def test_criterion_04_intercept_only_training():
-    config = TrainConfig(learning_rate=1.0, max_epochs=20000, tol=1e-13,
-                         record_loss_history=True)
+    config = TrainConfig(max_epochs=20000, tol=1e-13, record_loss_history=True)
     ok = True
     details = []
     for n_pos, n in ((3, 10), (7, 10), (1, 4)):

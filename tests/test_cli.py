@@ -14,7 +14,9 @@ import poseconf.cli
 from conftest import make_record
 from poseconf.cli import main
 from poseconf.confidence_model import load_model
-from poseconf.dataset_io import read_records, serialize_record, write_records
+from poseconf.dataset_io import build_extended, read_records, serialize_record, write_records
+from poseconf.evaluation import threshold_sweep
+from poseconf.pose_metrics import ErrorThreshold
 
 SYNTH_ARGS = [
     "synth",
@@ -120,6 +122,41 @@ class TestTrain:
         meta = model.training_meta
         assert meta["n_train"] == len(train_records)
 
+    def test_manifest_records_the_filter_and_the_fit(self, tmp_path, capsys):
+        data = tmp_path / "junk.jsonl"
+        assert main(SYNTH_ARGS + ["--junk-fraction", "0.25", "--out", str(data)]) == 0
+        n_in = len(read_records(data))
+        n_kept = len(build_extended(read_records(data)))
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--out", str(model), "--seed", "7"]) == 0
+        captured = capsys.readouterr()
+        assert "iterations" in captured.out and captured.err == ""
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert 0 < n_in - n_kept
+        assert manifest["build_extended"] == {"n_in": n_in, "n_dropped": n_in - n_kept}
+        meta = load_model(model).training_meta
+        assert manifest["fit"] == {
+            "converged": True,
+            "iterations": meta["epochs_run"],
+            "final_loss": meta["final_loss"],
+        }
+
+    def test_unconverged_fit_warns_on_one_line(self, workspace, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        code = main(["train", "--data", str(workspace["data"]), "--out", str(model),
+                     "--epochs", "1"])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: fit did not converge")
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert manifest["fit"]["converged"] is False
+        assert manifest["fit"]["iterations"] == 1
+
+    def test_learning_rate_flag_is_gone(self, workspace, tmp_path):
+        code = main(["train", "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "m.json"), "--learning-rate", "0.1"])
+        assert code == 2
+
     def test_single_feature_request(self, workspace, tmp_path):
         out = tmp_path / "inliers.json"
         code = main(["train", "--data", str(workspace["data"]),
@@ -191,6 +228,23 @@ class TestScore:
         assert "SchemaError" in err[0] and "line 1" in err[0] and "query_inliers" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["query_width", "db_height"])
+    def test_out_of_range_image_size_is_a_one_line_error(
+        self, workspace, tmp_path, capsys, field
+    ):
+        obj = serialize_record(make_record())
+        obj[field] = 2**70
+        data = tmp_path / "huge.jsonl"
+        data.write_text(json.dumps(obj) + "\n")
+        out = tmp_path / "scored.jsonl"
+        code = main(["score", "--data", str(data),
+                     "--model", str(workspace["model"]), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "SchemaError" in err[0] and "line 1" in err[0] and field in err[0]
+        assert not out.exists()
+
     def test_non_finite_model_is_a_one_line_error(self, workspace, tmp_path, capsys):
         doc = json.loads(workspace["model"].read_text())
         doc["weights"][0] = float("nan")
@@ -236,6 +290,16 @@ class TestEval:
         with open(out_dir / "thresholds.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["threshold_m"] for r in rows] == ["1.0", "0.5"]
+        # the report's rows are the library's sweep of the same model
+        sweep = threshold_sweep(
+            read_records(workspace["test"]),
+            load_model(workspace["model"]),
+            [ErrorThreshold(1.0, 10.0), ErrorThreshold(0.5, 10.0)],
+        )
+        assert [(t["n_positive"], t["model_auc"], t["inliers_auc"])
+                for t in report["thresholds"]] == [
+            (row.n_positive, row.model_auc, row.inliers_auc) for row in sweep
+        ]
 
         with open(out_dir / "pr_curves.csv", newline="") as fh:
             curves = list(csv.DictReader(fh))

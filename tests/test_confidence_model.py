@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
+from poseconf import confidence_model
 from poseconf.coverage import CoverageParams
 from poseconf.confidence_model import (
     ConfidenceModel,
@@ -16,6 +17,7 @@ from poseconf.confidence_model import (
     TrainData,
     from_json_dict,
     gradient,
+    hessian,
     load_model,
     logsig,
     nll_loss,
@@ -28,6 +30,13 @@ from poseconf.confidence_model import (
     train,
     train_features,
 )
+from poseconf.dataset_io import (
+    SynthConfig,
+    build_extended,
+    label_records,
+    labels_only,
+    synth_generate,
+)
 from poseconf.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -38,8 +47,10 @@ from poseconf.errors import (
 from poseconf.features import (
     DEFAULT_FEATURE_SET,
     FEATURE_INLIER_COUNT,
+    feature_matrix,
     identity_standardizer,
 )
+from poseconf.pose_metrics import ErrorThreshold
 
 
 class TestLogsig:
@@ -127,6 +138,28 @@ class TestGradient:
             np.testing.assert_allclose(grad_w, fd_w, rtol=1e-5, atol=1e-8)
             assert grad_b == pytest.approx(fd_b, rel=1e-5, abs=1e-8)
 
+    def test_hessian_matches_finite_differences_of_gradient(self):
+        rng = np.random.default_rng(8)
+        h = 1e-6
+        for _ in range(10):
+            n, k = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+            data = TrainData(
+                rng.normal(size=(n, k)),
+                rng.integers(0, 2, size=n).astype(float),
+                rng.uniform(0.5, 1.5, size=n),
+            )
+            w = rng.normal(size=k)
+            b = float(rng.normal())
+            l2 = float(rng.choice([0.0, 0.1]))
+            fd = np.zeros((k + 1, k + 1))
+            for i in range(k + 1):
+                step = np.zeros(k + 1)
+                step[i] = h
+                up = np.append(*gradient(w + step[:k], b + step[k], data, l2))
+                down = np.append(*gradient(w - step[:k], b - step[k], data, l2))
+                fd[:, i] = (up - down) / (2 * h)
+            np.testing.assert_allclose(hessian(w, b, data, l2), fd, rtol=1e-5, atol=1e-8)
+
     def test_bias_gradient_at_origin(self):
         # residual at zero parameters is (0.5 - y)
         data = TrainData(
@@ -139,11 +172,6 @@ class TestGradient:
 
 
 class TestTrainConfigValidation:
-    @pytest.mark.parametrize("lr", [0.0, -0.5, float("inf"), float("nan")])
-    def test_bad_learning_rate(self, lr):
-        with pytest.raises(InvalidConfig):
-            TrainConfig(learning_rate=lr)
-
     def test_bad_epochs_tol_l2_init(self):
         with pytest.raises(InvalidConfig):
             TrainConfig(max_epochs=0)
@@ -213,8 +241,12 @@ class TestTraining:
         assert train_features(x, y, (FEATURE_INLIER_COUNT,)).loss_history == ()
 
     def test_separable_clusters_are_classified(self):
+        # without l2 the optimum lies at infinity; the fit must still stop
+        # at finite parameters
         x, y = two_cluster_data()
         result = train_features(x, y, (FEATURE_INLIER_COUNT,))
+        assert np.all(np.isfinite(result.model.weights))
+        assert math.isfinite(result.model.bias)
         preds = predict(result.model, x)
         assert np.all((preds > 0.5) == (y == 1.0))
 
@@ -241,9 +273,46 @@ class TestTraining:
         # fitting: the optimum is logit of the positive fraction
         labels = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=float)
         x = np.zeros((10, 1))
-        config = TrainConfig(learning_rate=1.0, max_epochs=20000, tol=1e-14)
+        config = TrainConfig(max_epochs=20000, tol=1e-14)
         result = train_features(x, labels, (FEATURE_INLIER_COUNT,), config)
         assert result.model.bias == pytest.approx(-0.8472978603872036, abs=1e-3)
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_gradient_vanishes_at_the_fit(self, l2):
+        records = build_extended(synth_generate(SynthConfig(queries=20), 3))
+        labels = labels_only(label_records(records, ErrorThreshold(1.0, 10.0)))
+        x = feature_matrix(records, DEFAULT_FEATURE_SET)
+        result = train_features(x, labels, DEFAULT_FEATURE_SET, TrainConfig(l2=l2))
+        data, _ = prepare_train_data(x, labels)
+        grad_w, grad_b = gradient(result.model.weights, result.model.bias, data, l2)
+        assert result.converged
+        assert max(np.max(np.abs(grad_w)), abs(grad_b)) < 1e-6
+
+    @pytest.mark.parametrize("value", [0.0, 7.0])
+    def test_constant_feature_keeps_zero_weight(self, value):
+        labels = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=float)
+        x = np.full((10, 1), value)
+        result = train_features(x, labels, (FEATURE_INLIER_COUNT,))
+        assert result.model.weights[0] == 0.0
+        assert abs(result.model.bias - math.log(3 / 7)) < 1e-9
+        assert result.epochs_run <= 20
+
+    def test_iteration_cap_is_respected(self):
+        x, y = two_cluster_data()
+        result = train_features(x, y, (FEATURE_INLIER_COUNT,), TrainConfig(max_epochs=1))
+        assert result.epochs_run <= 1
+
+    def test_non_descent_step_falls_back_to_the_gradient(self, monkeypatch):
+        # a negated Hessian turns every Newton step uphill
+        x, y = two_cluster_data()
+        config = TrainConfig(l2=0.01, record_loss_history=True)
+        newton = train_features(x, y, (FEATURE_INLIER_COUNT,), config)
+        exact = confidence_model.hessian
+        monkeypatch.setattr(confidence_model, "hessian", lambda *args: -exact(*args))
+        fallback = train_features(x, y, (FEATURE_INLIER_COUNT,), config)
+        assert fallback.converged
+        assert np.all(np.diff(fallback.loss_history) <= 0.0)
+        assert fallback.final_loss == pytest.approx(newton.final_loss, abs=1e-6)
 
     def test_metadata_records_the_run(self):
         x, y = two_cluster_data()
@@ -280,8 +349,6 @@ class TestTraining:
                 make_record(query_id=f"q{i}", query_points=pts, db_points=pts)
             )
             labels.append(i % 2)
-        from poseconf.features import feature_matrix
-
         via_records = train(records, labels)
         via_matrix = train_features(
             feature_matrix(records, DEFAULT_FEATURE_SET), labels, DEFAULT_FEATURE_SET

@@ -148,6 +148,23 @@ class TestParseRecord:
             parse_records(["", line])
         assert (info.value.line, info.value.field) == (2, "db_inliers")
 
+    @pytest.mark.parametrize("field", ["query_width", "query_height", "db_width", "db_height"])
+    @pytest.mark.parametrize("value", [2**63, 2**70])
+    def test_out_of_range_image_size_names_the_field_and_line(self, field, value):
+        line = json.dumps(record_obj(**{field: value}))
+        with pytest.raises(SchemaError, match="out of range") as info:
+            parse_records([line])
+        assert (info.value.line, info.value.field) == (1, field)
+
+    def test_pixel_count_beyond_int64_is_rejected(self):
+        # each side fits in int64, their product does not: the covered area
+        # would overflow
+        line = json.dumps(record_obj(db_width=2**60))
+        with pytest.raises(SchemaError, match="out of range") as info:
+            parse_records([line])
+        assert (info.value.line, info.value.field) == (1, "db_height")
+        assert parse_records([json.dumps(record_obj(db_width=2**40))])[0].db_dims.width == 2**40
+
 
 class TestParseStream:
     def test_empty_stream(self):

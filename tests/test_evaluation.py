@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, pose_at
-from poseconf.confidence_model import ConfidenceModel, TrainConfig
+from poseconf.confidence_model import ConfidenceModel, TrainConfig, predict_record
 from poseconf.errors import (
     DegenerateCurve,
     EmptyCandidates,
@@ -26,6 +26,7 @@ from poseconf.evaluation import (
     rerank,
     select_best,
     select_max_inliers,
+    sweep_scores,
     threshold_sweep,
 )
 from poseconf.features import identity_standardizer
@@ -386,6 +387,18 @@ class TestThresholdSweep:
         )
         assert rows[0].model_auc == rows[1].model_auc
         assert rows[0].inliers_auc == rows[1].inliers_auc
+
+    def test_sweep_of_the_model_scores_matches_the_model_sweep(self):
+        records = self.make_records()
+        model = self.make_model()
+        thresholds = [ErrorThreshold(0.5, 10.0), ErrorThreshold(5.0, 10.0)]
+        scores = [predict_record(model, r) for r in records]
+        assert sweep_scores(records, scores, thresholds) == threshold_sweep(
+            records, model, thresholds
+        )
+        # reversed scores rank the two correct records last
+        reversed_rows = sweep_scores(records, [-s for s in scores], thresholds[:1])
+        assert reversed_rows[0].model_auc < 1.0
 
     def test_perfect_ranking_scores_unit_auc(self):
         records = self.make_records()
