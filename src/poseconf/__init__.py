@@ -10,6 +10,7 @@ from .confidence_model import (
     predict_record,
     raw_space_parameters,
     save_model,
+    score_records,
     train,
     train_features,
 )
@@ -49,6 +50,7 @@ from .evaluation import (
     pr_curve_from_scores,
     rerank,
     select_max_inliers,
+    select_per_query,
     sweep_scores,
     threshold_sweep,
 )

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .confidence_model import TrainConfig, load_model, predict_record, save_model, train
+from .confidence_model import TrainConfig, load_model, save_model, score_records, train
 from .dataset_io import (
     SplitSpec,
     SynthConfig,
@@ -38,13 +38,17 @@ from .evaluation import (
     ablation,
     accuracy_at,
     pr_curve_from_scores,
-    select_best,
     select_max_inliers,
+    select_per_query,
     sweep_scores,
 )
 from .features import parse_feature_set
 from .plots import line_plot_svg, write_svg
 from .pose_metrics import ErrorThreshold
+
+# Bound but not called: the benchmark tracer (perfbench/trace.py) wraps these here.
+from .confidence_model import predict_record  # noqa: F401
+from .evaluation import select_best  # noqa: F401
 
 
 def _write_manifest(
@@ -130,7 +134,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     threshold = ErrorThreshold(args.threshold_m, args.threshold_deg)
     feature_set = parse_feature_set(args.features)
-    config = TrainConfig(max_epochs=args.epochs, tol=args.tol, l2=args.l2, seed=args.seed)
+    config = TrainConfig(max_epochs=args.epochs, tol=args.tol, l2=args.l2)
     loaded = read_records(args.data)
     records = build_extended(loaded)
     label_records(records, threshold)  # validate ground truth up front
@@ -177,7 +181,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model = load_model(args.model)
     records = read_records(args.data)
-    extras = [{"confidence": predict_record(model, r)} for r in records]
+    extras = [{"confidence": c} for c in score_records(model, records).tolist()]
     write_records(records, args.out, extras)
     _write_manifest(
         args.out + ".manifest.json", "score", args, [args.data, args.model], [args.out], started
@@ -202,17 +206,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     n_queries = len(group_by_query(records))
 
+    scores = score_records(model, records)
     if args.best_only:
-        selected, selected_scores = [], []
-        for group in group_by_query(records).values():
-            group_scores = [predict_record(model, c) for c in group]
-            chosen = select_best(group, group_scores)
-            selected.append(group[chosen])
-            selected_scores.append(group_scores[chosen])
-        records = selected
-        scores = np.asarray(selected_scores)
-    else:
-        scores = np.asarray([predict_record(model, r) for r in records])
+        picks = select_per_query(records, scores)
+        records = [records[i] for i in picks]
+        scores = scores[picks]
     rows = sweep_scores(records, scores, thresholds)
     primary = rows[0]
     primary_labels = labels_only(label_records(records, thresholds[0]))
@@ -267,10 +265,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     outputs.append(thresholds_csv)
 
     ablation_rows = None
+    facts = None
     if args.ablate:
         if not args.train_data:
             raise InvalidConfig("--ablate requires --train-data")
-        train_records = build_extended(read_records(args.train_data))
+        loaded = read_records(args.train_data)
+        train_records = build_extended(loaded)
+        facts = {
+            "build_extended": {"n_in": len(loaded), "n_dropped": len(loaded) - len(train_records)}
+        }
         train_labels = labels_only(label_records(train_records, thresholds[0]))
         subsets = _leave_one_out_subsets(model.feature_set)
         ablation_rows = ablation(
@@ -329,6 +332,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         [args.data, args.model] + ([args.train_data] if args.train_data else []),
         outputs,
         started,
+        facts,
     )
     if not primary.degenerate:
         print(
@@ -345,20 +349,17 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     thresholds_m = _parse_float_list(args.thresholds_m)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    model_selected = []
-    model_confidence = []
-    baseline_selected = []
-    for group in group_by_query(records).values():
-        scores = [predict_record(model, c) for c in group]
-        chosen = select_best(group, scores)
-        model_selected.append(group[chosen])
-        model_confidence.append(scores[chosen])
-        baseline_selected.append(group[select_max_inliers(group)])
+    scores = score_records(model, records).tolist()
+    picks = select_per_query(records, scores)
+    model_selected = [records[i] for i in picks]
+    baseline_selected = [
+        group[select_max_inliers(group)] for group in group_by_query(records).values()
+    ]
 
     selections_path = os.path.join(args.out_dir, "selections.jsonl")
     with open(selections_path, "w", encoding="utf-8") as fh:
-        for record, confidence in zip(model_selected, model_confidence):
-            obj = serialize_record(record, {"confidence": confidence})
+        for i in picks:
+            obj = serialize_record(records[i], {"confidence": scores[i]})
             fh.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
 
     accuracy_rows = []
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold-m", type=float, default=1.0)
     p.add_argument("--threshold-deg", type=float, default=10.0)
     p.add_argument("--split", type=float, default=0.75, help="train fraction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the grouped train/test split")
     p.add_argument(
         "--features",
         default="inliers,qcov,dbcov",

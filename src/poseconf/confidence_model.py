@@ -30,11 +30,13 @@ from .features import (
     DEFAULT_FEATURE_SET,
     Standardizer,
     apply_standardizer,
-    assemble,
     feature_matrix,
     fit_standardizer,
     parse_feature_set,
 )
+
+# Bound but not called: the benchmark tracer (perfbench/trace.py) wraps it here.
+from .features import assemble  # noqa: F401
 
 if TYPE_CHECKING:
     from .dataset_io import PoseRecord
@@ -69,18 +71,17 @@ def _softplus(m: np.ndarray) -> np.ndarray:
 class TrainConfig:
     """Damped-Newton settings.
 
+    The fit always starts from zero weights and bias; the problem is
+    convex, so the start point does not change what the fit reaches.
     `max_epochs` caps the Newton iterations; the fit stops earlier once the
     gradient vanishes or a step improves the loss by less than `tol`, which
     takes a few tens of iterations at most on the package's datasets.
+    `l2` adds (l2/2)*||w||^2 to the loss (the bias is not penalized).
     """
 
     max_epochs: int = 5000
     tol: float = 1e-8
     l2: float = 0.0
-    seed: int = 0
-    balance_classes: bool = False
-    init: str = "zero"
-    record_loss_history: bool = False
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -89,8 +90,6 @@ class TrainConfig:
             raise InvalidConfig(f"tol must be a finite non-negative value, got {self.tol}")
         if not (self.l2 >= 0 and math.isfinite(self.l2)):
             raise InvalidConfig(f"l2 must be a finite non-negative value, got {self.l2}")
-        if self.init not in ("zero", "random"):
-            raise InvalidConfig(f"init must be 'zero' or 'random', got {self.init!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,23 +98,18 @@ class TrainData:
 
     z: np.ndarray  # (n, k) standardized features
     y: np.ndarray  # (n,) labels in {0.0, 1.0}
-    sample_weights: np.ndarray  # (n,) mean-one weights
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64).reshape(-1)
-        w = np.asarray(self.sample_weights, dtype=np.float64).reshape(-1)
         if z.ndim != 2:
             raise DimensionMismatch(f"z must be (n, k), got shape {z.shape}")
-        if z.shape[0] != y.shape[0] or z.shape[0] != w.shape[0]:
-            raise DimensionMismatch(
-                f"z has {z.shape[0]} rows but y has {y.shape[0]} and weights {w.shape[0]}"
-            )
+        if z.shape[0] != y.shape[0]:
+            raise DimensionMismatch(f"z has {z.shape[0]} rows but y has {y.shape[0]}")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise InvalidConfig("labels must be 0 or 1")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "sample_weights", w)
 
     def __len__(self) -> int:
         return self.z.shape[0]
@@ -167,24 +161,28 @@ def predict(model: ConfidenceModel, features) -> np.ndarray | float:
     return logsig(z @ model.weights + model.bias)
 
 
+def score_records(model: ConfidenceModel, records: Sequence["PoseRecord"]) -> np.ndarray:
+    """Confidences, shape (n,), for records, using the coverage settings the
+    model was trained with.  Every command scores through this function."""
+    return predict(model, feature_matrix(records, model.feature_set, model.coverage_params()))
+
+
 def predict_record(model: ConfidenceModel, record: "PoseRecord") -> float:
-    """Confidence for one record, using the coverage settings the model
-    was trained with."""
-    x = assemble(record, model.feature_set, model.coverage_params())
-    return float(predict(model, x))
+    """Confidence for one record (see score_records)."""
+    return float(score_records(model, [record])[0])
 
 
 def nll_loss(
     weights: np.ndarray, bias: float, data: TrainData, l2: float = 0.0
 ) -> float:
-    """Weighted-mean negative log likelihood plus (l2/2)*||w||^2.
+    """Mean negative log likelihood plus (l2/2)*||w||^2.
 
     Uses the softplus identity -log sigmoid(m) = softplus(-m), which stays
     finite for any margin.
     """
     m = data.z @ weights + bias
     per_sample = data.y * _softplus(-m) + (1.0 - data.y) * _softplus(m)
-    loss = float(np.mean(data.sample_weights * per_sample))
+    loss = float(np.mean(per_sample))
     return loss + 0.5 * l2 * float(weights @ weights)
 
 
@@ -193,7 +191,7 @@ def gradient(
 ) -> tuple[np.ndarray, float]:
     """Exact gradient of nll_loss with respect to (weights, bias)."""
     m = data.z @ weights + bias
-    residual = data.sample_weights * (np.asarray(logsig(m)) - data.y)
+    residual = np.asarray(logsig(m)) - data.y
     grad_w = data.z.T @ residual / len(data) + l2 * weights
     grad_b = float(np.mean(residual))
     return grad_w, grad_b
@@ -204,18 +202,17 @@ def hessian(weights: np.ndarray, bias: float, data: TrainData, l2: float = 0.0) 
     m = data.z @ weights + bias
     p = np.asarray(logsig(m))
     z1 = np.column_stack([data.z, np.ones(len(data))])
-    h = (z1.T * (data.sample_weights * p * (1.0 - p))) @ z1 / len(data)
+    h = (z1.T * (p * (1.0 - p))) @ z1 / len(data)
     k = len(weights)
     h[np.arange(k), np.arange(k)] += l2
     return h
 
 
 def prepare_train_data(
-    features: np.ndarray,
-    labels: Sequence[bool] | np.ndarray,
-    balance_classes: bool = False,
+    features: np.ndarray, labels: Sequence[bool] | np.ndarray
 ) -> tuple[TrainData, Standardizer]:
-    """Standardize a raw (n, k) feature matrix and attach labels/weights."""
+    """Standardize a raw (n, k) feature matrix and attach its labels; also
+    returns the fitted standardizer.  Single-class labels raise SingleClassData."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionMismatch(f"features must be (n, k), got shape {x.shape}")
@@ -230,14 +227,7 @@ def prepare_train_data(
             f"training labels are all {'positive' if n_pos else 'negative'}"
         )
     standardizer = fit_standardizer(x)
-    z = apply_standardizer(standardizer, x)
-    if balance_classes:
-        # inverse-frequency weights, rescaled to mean one
-        n_neg = len(y) - n_pos
-        w = np.where(y == 1.0, len(y) / (2.0 * n_pos), len(y) / (2.0 * n_neg))
-    else:
-        w = np.ones_like(y)
-    return TrainData(z, y, w), standardizer
+    return TrainData(apply_standardizer(standardizer, x), y), standardizer
 
 
 @dataclass(frozen=True)
@@ -246,7 +236,7 @@ class TrainResult:
     final_loss: float
     epochs_run: int
     converged: bool
-    loss_history: tuple[float, ...] = ()
+    loss_history: tuple[float, ...]  # loss before the first and after each iteration
 
 
 def train_features(
@@ -258,12 +248,11 @@ def train_features(
 ) -> TrainResult:
     """Fit the logistic model on an already-assembled raw feature matrix.
 
-    Deterministic for a given (features, labels, feature_set, config): the
-    only randomness is the optional 'random' init, which draws from a
-    generator seeded with config.seed.  Each iteration takes a Newton step
-    (the gradient direction if that step does not descend) and halves it
-    until the loss does not increase (backtracking), so the recorded loss
-    sequence is non-increasing.
+    Deterministic for a given (features, labels, feature_set, config).  The
+    fit starts from zero and each iteration takes a Newton step (the
+    gradient direction if that step does not descend), halved until the
+    loss does not increase (backtracking), so `loss_history` is
+    non-increasing.
 
     `params` is recorded in the model metadata as the coverage settings the
     matrix was built with, so scoring reproduces the same features.
@@ -275,16 +264,10 @@ def train_features(
             f"feature matrix shape {features.shape} does not match "
             f"{len(feature_set)} features"
         )
-    data, standardizer = prepare_train_data(features, labels, config.balance_classes)
+    data, standardizer = prepare_train_data(features, labels)
 
     k = len(feature_set)
-    if config.init == "zero":
-        w = np.zeros(k)
-        b = 0.0
-    else:
-        rng = np.random.default_rng(config.seed)
-        w = rng.normal(0.0, 0.01, size=k)
-        b = float(rng.normal(0.0, 0.01))
+    w, b = np.zeros(k), 0.0
 
     loss = nll_loss(w, b, data, config.l2)
     history = [loss]
@@ -334,9 +317,6 @@ def train_features(
             "max_epochs": config.max_epochs,
             "tol": config.tol,
             "l2": config.l2,
-            "seed": config.seed,
-            "balance_classes": config.balance_classes,
-            "init": config.init,
         },
     }
     model = ConfidenceModel(feature_set, w, b, standardizer, meta)
@@ -345,7 +325,7 @@ def train_features(
         final_loss=loss,
         epochs_run=epochs_run,
         converged=converged,
-        loss_history=tuple(history) if config.record_loss_history else (),
+        loss_history=tuple(history),
     )
 
 
@@ -426,9 +406,10 @@ def from_json_dict(obj: Mapping) -> ConfidenceModel:
             standardizer=Standardizer(means, stds),
             training_meta=dict(obj.get("training_meta", {})),
         )
+        model.coverage_params()  # a corrupt entry fails here, not when scoring
     except KeyError as exc:
         raise SchemaError(field=str(exc), message=f"model document missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, InvalidConfig) as exc:
         raise SchemaError(message=f"malformed model document: {exc}") from exc
     return model
 
@@ -441,4 +422,8 @@ def save_model(model: ConfidenceModel, path: str | os.PathLike) -> None:
 
 def load_model(path: str | os.PathLike) -> ConfidenceModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not JSON or not UTF-8, or an integer too long to read
+            raise SchemaError(message=f"model file is not valid JSON: {exc}") from None
+    return from_json_dict(obj)

@@ -15,6 +15,7 @@ compare against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import InvalidConfig, InvariantViolation
 
 DEFAULT_NEIGHBORHOOD_FRACTION = 1.0 / 15.0
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,9 @@ class ImageDims:
             raise InvariantViolation(
                 f"image dims must be >= 1, got {self.width}x{self.height}"
             )
+        # coverage_fraction sums the covered area in int64, which would wrap
+        if self.width * self.height > INT64_MAX:
+            raise InvariantViolation(f"{self.width} x {self.height} pixels is out of range")
 
     @property
     def pixel_count(self) -> int:
@@ -46,10 +51,11 @@ class CoverageParams:
     min_half_extent: int = 1
 
     def __post_init__(self):
-        if not 0 < self.neighborhood_fraction <= 1:
+        fraction = self.neighborhood_fraction
+        if not (isinstance(fraction, numbers.Real) and 0 < fraction <= 1):
             raise InvalidConfig("neighborhood_fraction must be in (0, 1]")
-        if self.min_half_extent < 1:
-            raise InvalidConfig("min_half_extent must be >= 1")
+        if not (isinstance(self.min_half_extent, numbers.Integral) and self.min_half_extent >= 1):
+            raise InvalidConfig("min_half_extent must be an integer >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,11 +204,13 @@ def coverage_fraction(
     """
     dims = inliers.dims
     hx, hy = neighborhood_half_extents(dims, params)
+    hx, hy = min(hx, dims.width), min(hy, dims.height)  # wider windows clip the same
     xs = inliers.points[:, 0]
     ys = inliers.points[:, 1]
-    # each window is the half-open pixel range [x0, x1) x [y0, y1)
-    x0, x1 = np.maximum(xs - hx, 0), np.minimum(xs + hx + 1, dims.width)
-    y0, y1 = np.maximum(ys - hy, 0), np.minimum(ys + hy + 1, dims.height)
+    # each window is the half-open pixel range [x0, x1) x [y0, y1); x1 is
+    # clipped before it is formed, as x + hx + 1 can pass int64 on wide images
+    x0, x1 = np.maximum(xs - hx, 0), xs + 1 + np.minimum(hx, dims.width - 1 - xs)
+    y0, y1 = np.maximum(ys - hy, 0), ys + 1 + np.minimum(hy, dims.height - 1 - ys)
     ex = np.unique(np.concatenate([x0, x1]))
     ey = np.unique(np.concatenate([y0, y1]))
     i0, i1 = np.searchsorted(ex, x0), np.searchsorted(ex, x1)

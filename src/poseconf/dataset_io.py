@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .coverage import ImageDims, InlierSet
+from .coverage import INT64_MAX, ImageDims, InlierSet
 from .errors import (
     InvalidConfig,
     InvariantViolation,
@@ -32,7 +32,6 @@ from .errors import (
 from .pose_metrics import ErrorThreshold, Pose, is_correct, pose_error
 
 MIN_CORRESPONDENCES = 3  # below this, estimation is trivially failed
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,22 +138,22 @@ def _as_int(
 def _as_image_dims(obj: Mapping, image: str, line: int) -> ImageDims:
     # coverage counts pixels in int64, so a larger image cannot be scored
     width, height = (
-        _as_int(_require(obj, field, line), field, line, 1, _INT64_MAX)
+        _as_int(_require(obj, field, line), field, line, 1, INT64_MAX)
         for field in (f"{image}_width", f"{image}_height")
     )
-    if width * height > _INT64_MAX:
-        raise SchemaError(
-            line=line,
-            field=f"{image}_height",
-            message=f"{width} x {height} pixels is out of range",
-        )
-    return ImageDims(width, height)
+    try:
+        return ImageDims(width, height)
+    except InvariantViolation as exc:  # the pixel count passes int64
+        raise SchemaError(line=line, field=f"{image}_height", message=exc.description) from None
 
 
 def _as_real(value, field: str, line: int) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(line=line, field=field, message=f"expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise SchemaError(line=line, field=field, message=f"must be finite, got {value!r}")
     return out
@@ -274,15 +273,19 @@ def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(line=line_no, message=f"invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to read
+            message = getattr(exc, "msg", exc)
+            raise SchemaError(line=line_no, message=f"invalid JSON: {message}") from None
         records.append(parse_record(obj, line_no))
     return records
 
 
 def read_records(path: str | os.PathLike) -> list[PoseRecord]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_records(fh)
+        try:
+            return parse_records(fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(message=f"not UTF-8 text: {exc.reason}") from None
 
 
 def serialize_record(record: PoseRecord, extra: Mapping | None = None) -> dict:

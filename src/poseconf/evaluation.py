@@ -14,13 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .confidence_model import (
-    ConfidenceModel,
-    TrainConfig,
-    predict,
-    predict_record,
-    train_features,
-)
+from .confidence_model import ConfidenceModel, predict, score_records, train_features
 from .coverage import CoverageParams
 from .dataset_io import PoseRecord, label_records, labels_only
 from .errors import (
@@ -171,10 +165,25 @@ def select_best(candidates: Sequence[PoseRecord], scores: Sequence[float]) -> in
     )
 
 
+def select_per_query(records: Sequence[PoseRecord], scores: Sequence[float]) -> list[int]:
+    """Index into `records` of each query's best-scoring candidate.
+
+    Queries come in first-appearance order; ties break as in select_best.
+    """
+    if len(scores) != len(records):
+        raise InvariantViolation(f"{len(records)} records but {len(scores)} scores")
+    groups: dict[str, list[int]] = {}
+    for i, record in enumerate(records):
+        groups.setdefault(record.query_id, []).append(i)
+    return [
+        rows[select_best([records[i] for i in rows], [scores[i] for i in rows])]
+        for rows in groups.values()
+    ]
+
+
 def rerank(candidates: Sequence[PoseRecord], model: ConfidenceModel) -> int:
     """Index of the candidate the model is most confident in."""
-    _same_query(candidates)
-    return select_best(candidates, [predict_record(model, c) for c in candidates])
+    return select_best(candidates, score_records(model, candidates))
 
 
 def select_max_inliers(candidates: Sequence[PoseRecord]) -> int:
@@ -205,7 +214,6 @@ def ablation(
     test_records: Sequence[PoseRecord],
     test_labels,
     feature_sets: Sequence[Sequence[str]],
-    config: TrainConfig = TrainConfig(),
     params: CoverageParams = CoverageParams(),
 ) -> list[tuple[tuple[str, ...], float]]:
     """Test AUC per feature subset, each trained on the same split.
@@ -228,7 +236,7 @@ def ablation(
     rows = []
     for subset in subsets:
         idx = [column[name] for name in subset]
-        result = train_features(x_train[:, idx], train_labels, subset, config, params)
+        result = train_features(x_train[:, idx], train_labels, subset, params=params)
         scores = predict(result.model, x_test[:, idx])
         rows.append((subset, pr_curve_from_scores(scores, test_labels).auc))
     return rows
@@ -255,8 +263,7 @@ def threshold_sweep(
     thresholds: Sequence[ErrorThreshold],
 ) -> list[SweepRow]:
     """Score the records once with the model as-is, then sweep_scores."""
-    scores = np.asarray([predict_record(model, r) for r in records])
-    return sweep_scores(records, scores, thresholds)
+    return sweep_scores(records, score_records(model, records), thresholds)
 
 
 def sweep_scores(

@@ -64,6 +64,8 @@ def parse_feature_set(spec: str | Sequence[str]) -> tuple[str, ...]:
     names = spec.split(",") if isinstance(spec, str) else list(spec)
     out: list[str] = []
     for raw in names:
+        if not isinstance(raw, str):
+            raise InvalidConfig(f"feature names must be strings, got {raw!r}")
         name = raw.strip()
         name = _ALIASES.get(name, name)
         if name not in KNOWN_FEATURES:

@@ -84,7 +84,7 @@ def bench():
     train_records, test_records = grouped_split(extended, SplitSpec(0.75, seed=42))
     train_labels = labels_only(label_records(train_records))
     test_labels = labels_only(label_records(test_records))
-    model = train(train_records, train_labels, config=TrainConfig(seed=42)).model
+    model = train(train_records, train_labels).model
 
     test_scores = np.asarray([predict_record(model, r) for r in test_records])
     test_counts = np.asarray([float(r.inlier_count) for r in test_records])
@@ -179,7 +179,6 @@ def test_criterion_03_gradient_matches_finite_differences():
         data = TrainData(
             rng.normal(size=(n, k)),
             rng.integers(0, 2, size=n).astype(float),
-            np.ones(n),
         )
         w = rng.normal(scale=2.0, size=k)
         b = float(rng.normal(scale=2.0))
@@ -206,7 +205,7 @@ def test_criterion_03_gradient_matches_finite_differences():
 
 
 def test_criterion_04_intercept_only_training():
-    config = TrainConfig(max_epochs=20000, tol=1e-13, record_loss_history=True)
+    config = TrainConfig(max_epochs=20000, tol=1e-13)
     ok = True
     details = []
     for n_pos, n in ((3, 10), (7, 10), (1, 4)):
@@ -309,7 +308,6 @@ def test_criterion_07_ablation_ranks_full_model_first(bench):
         bench["test_records"],
         bench["test_labels"],
         [full] + leave_one_out,
-        TrainConfig(seed=42),
     )
     table = dict(rows)
     full_auc = table[full]

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-import poseconf.cli
+import poseconf.features
 from conftest import make_record
 from poseconf.cli import main
 from poseconf.confidence_model import load_model
@@ -334,6 +334,24 @@ class TestEval:
         report = json.loads((out_dir / "report.json").read_text())
         assert len(report["ablation"]) == 5
 
+    def test_ablation_manifest_records_the_filter(self, workspace, tmp_path):
+        train_data = tmp_path / "junk.jsonl"
+        assert main(SYNTH_ARGS + ["--junk-fraction", "0.25", "--out", str(train_data)]) == 0
+        n_in = len(read_records(train_data))
+        n_kept = len(build_extended(read_records(train_data)))
+        assert 0 < n_in - n_kept
+        for ablate in ([], ["--ablate", "--train-data", str(train_data)]):
+            out_dir = tmp_path / f"eval{len(ablate)}"
+            code = main(["eval", "--data", str(workspace["test"]),
+                         "--model", str(workspace["model"]), "--out-dir", str(out_dir)]
+                        + ablate)
+            assert code == 0
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            if ablate:
+                assert manifest["build_extended"] == {"n_in": n_in, "n_dropped": n_in - n_kept}
+            else:
+                assert "build_extended" not in manifest
+
     def test_single_class_labeling_degrades_gracefully(self, tmp_path, capsys):
         # every record far from ground truth: no positives at 1 m
         from conftest import pose_at
@@ -385,13 +403,13 @@ class TestEval:
 
     def test_best_only_scores_one_record_per_query(self, workspace, tmp_path, monkeypatch):
         calls = Counter()
-        original = poseconf.cli.predict_record
+        original = poseconf.features.assemble
 
-        def counting(model, record):
+        def counting(record, *args):
             calls[(record.query_id, record.candidate_rank)] += 1
-            return original(model, record)
+            return original(record, *args)
 
-        monkeypatch.setattr(poseconf.cli, "predict_record", counting)
+        monkeypatch.setattr(poseconf.features, "assemble", counting)
         out_dir = tmp_path / "eval"
         code = main(["eval", "--data", str(workspace["test"]),
                      "--model", str(workspace["model"]),
@@ -400,8 +418,9 @@ class TestEval:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["best_only"] is True
         assert report["n_records"] == report["n_queries"]
-        # the selection pass's scores are reused: each record is scored once
+        # the selection pass's scores are reused: each record is assembled once
         assert calls and set(calls.values()) == {1}
+        assert len(calls) == len(read_records(workspace["test"]))
 
 
 class TestRerank:
@@ -432,6 +451,28 @@ class TestRerank:
             assert 0.0 <= float(row["max_inliers_accuracy"]) <= 1.0
         assert (out_dir / "accuracy.svg").exists()
         assert (out_dir / "manifest.json").exists()
+
+    def test_selection_confidence_equals_the_scored_confidence(self, workspace, tmp_path):
+        # enough queries that scoring one record at a time would differ from
+        # the batch by an ulp somewhere
+        data, scored = tmp_path / "many.jsonl", tmp_path / "scored.jsonl"
+        assert main(["synth", "--queries", "60", "--candidates", "5", "--width", "96",
+                     "--height", "72", "--seed", "8", "--out", str(data)]) == 0
+        assert main(["score", "--data", str(data),
+                     "--model", str(workspace["model"]), "--out", str(scored)]) == 0
+        assert main(["rerank", "--data", str(data),
+                     "--model", str(workspace["model"]),
+                     "--out-dir", str(tmp_path / "rerank")]) == 0
+        confidence = {}
+        for line in scored.read_text().splitlines():
+            doc = json.loads(line)
+            confidence[(doc["query_id"], doc["candidate_rank"])] = doc["confidence"]
+        selections = (tmp_path / "rerank" / "selections.jsonl").read_text().splitlines()
+        assert selections
+        for line in selections:
+            doc = json.loads(line)
+            # == on floats: the two files must agree bit for bit
+            assert doc["confidence"] == confidence[(doc["query_id"], doc["candidate_rank"])]
 
     def test_single_candidate_queries_select_that_candidate(self, workspace, tmp_path):
         from conftest import pose_at

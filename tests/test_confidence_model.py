@@ -26,6 +26,7 @@ from poseconf.confidence_model import (
     prepare_train_data,
     raw_space_parameters,
     save_model,
+    score_records,
     to_json_dict,
     train,
     train_features,
@@ -83,27 +84,25 @@ class TestLogsig:
 
 class TestLoss:
     def test_zero_parameters_give_log_two(self):
-        data = TrainData(
-            np.array([[0.3], [-1.2], [4.0]]), np.array([1.0, 0.0, 1.0]), np.ones(3)
-        )
+        data = TrainData(np.array([[0.3], [-1.2], [4.0]]), np.array([1.0, 0.0, 1.0]))
         assert nll_loss(np.zeros(1), 0.0, data) == pytest.approx(
             0.6931471805599453, rel=1e-15
         )
 
     def test_single_positive_at_margin_one(self):
-        data = TrainData(np.array([[0.0]]), np.array([1.0]), np.ones(1))
+        data = TrainData(np.array([[0.0]]), np.array([1.0]))
         loss = nll_loss(np.zeros(1), 1.0, data)
         assert loss == pytest.approx(0.3132616875182228, rel=1e-15)
         assert loss == pytest.approx(-math.log(logsig(1.0)), rel=1e-15)
 
     def test_l2_term(self):
-        data = TrainData(np.array([[0.0]]), np.array([1.0]), np.ones(1))
+        data = TrainData(np.array([[0.0]]), np.array([1.0]))
         w = np.array([2.0])
         base = nll_loss(w, 0.0, data, l2=0.0)
         assert nll_loss(w, 0.0, data, l2=0.5) == pytest.approx(base + 0.25 * 4.0)
 
     def test_loss_is_finite_at_huge_margins(self):
-        data = TrainData(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), np.ones(2))
+        data = TrainData(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
         assert math.isfinite(nll_loss(np.array([5000.0]), 0.0, data))
         assert math.isfinite(nll_loss(np.array([-5000.0]), 0.0, data))
 
@@ -128,7 +127,6 @@ class TestGradient:
             data = TrainData(
                 rng.normal(size=(n, k)),
                 rng.integers(0, 2, size=n).astype(float),
-                np.ones(n),
             )
             w = rng.normal(size=k)
             b = float(rng.normal())
@@ -146,7 +144,6 @@ class TestGradient:
             data = TrainData(
                 rng.normal(size=(n, k)),
                 rng.integers(0, 2, size=n).astype(float),
-                rng.uniform(0.5, 1.5, size=n),
             )
             w = rng.normal(size=k)
             b = float(rng.normal())
@@ -165,22 +162,19 @@ class TestGradient:
         data = TrainData(
             np.array([[1.0], [2.0], [3.0], [4.0]]),
             np.array([1.0, 1.0, 1.0, 0.0]),
-            np.ones(4),
         )
         _, grad_b = gradient(np.zeros(1), 0.0, data)
         assert grad_b == pytest.approx(0.5 - 0.75, abs=0)
 
 
 class TestTrainConfigValidation:
-    def test_bad_epochs_tol_l2_init(self):
+    def test_bad_epochs_tol_l2(self):
         with pytest.raises(InvalidConfig):
             TrainConfig(max_epochs=0)
         with pytest.raises(InvalidConfig):
             TrainConfig(tol=-1e-9)
         with pytest.raises(InvalidConfig):
             TrainConfig(l2=-0.1)
-        with pytest.raises(InvalidConfig):
-            TrainConfig(init="sgd")
 
 
 class TestPrepareTrainData:
@@ -199,21 +193,9 @@ class TestPrepareTrainData:
         with pytest.raises(DimensionMismatch):
             prepare_train_data(np.zeros((3, 1)), [1, 0])
 
-    def test_balanced_weights_have_mean_one(self):
-        x = np.arange(8.0).reshape(-1, 1)
-        labels = [1, 0, 0, 0, 0, 0, 0, 0]
-        data, _ = prepare_train_data(x, labels, balance_classes=True)
-        assert data.sample_weights[0] == pytest.approx(4.0)
-        np.testing.assert_allclose(data.sample_weights[1:], 8.0 / 14.0)
-        assert data.sample_weights.mean() == pytest.approx(1.0, abs=1e-12)
-
-    def test_unbalanced_weights_are_all_one(self):
-        data, _ = prepare_train_data(np.arange(4.0).reshape(-1, 1), [1, 0, 1, 0])
-        np.testing.assert_array_equal(data.sample_weights, 1.0)
-
     def test_non_binary_labels_rejected(self):
         with pytest.raises(InvalidConfig):
-            TrainData(np.zeros((2, 1)), np.array([0.5, 1.0]), np.ones(2))
+            TrainData(np.zeros((2, 1)), np.array([0.5, 1.0]))
 
 
 def two_cluster_data(n=60, seed=5):
@@ -228,17 +210,11 @@ def two_cluster_data(n=60, seed=5):
 class TestTraining:
     def test_loss_history_is_non_increasing(self):
         x, y = two_cluster_data()
-        result = train_features(
-            x, y, (FEATURE_INLIER_COUNT,), TrainConfig(record_loss_history=True)
-        )
+        result = train_features(x, y, (FEATURE_INLIER_COUNT,))
         history = np.array(result.loss_history)
         assert len(history) == result.epochs_run + 1
         assert np.all(np.diff(history) <= 0.0)
         assert result.final_loss == history[-1]
-
-    def test_history_empty_unless_requested(self):
-        x, y = two_cluster_data()
-        assert train_features(x, y, (FEATURE_INLIER_COUNT,)).loss_history == ()
 
     def test_separable_clusters_are_classified(self):
         # without l2 the optimum lies at infinity; the fit must still stop
@@ -260,13 +236,11 @@ class TestTraining:
 
     def test_training_is_deterministic(self):
         x, y = two_cluster_data()
-        for init in ("zero", "random"):
-            config = TrainConfig(init=init, seed=9)
-            a = train_features(x, y, (FEATURE_INLIER_COUNT,), config)
-            b = train_features(x, y, (FEATURE_INLIER_COUNT,), config)
-            assert np.array_equal(a.model.weights, b.model.weights)
-            assert a.model.bias == b.model.bias
-            assert a.model == b.model
+        a = train_features(x, y, (FEATURE_INLIER_COUNT,))
+        b = train_features(x, y, (FEATURE_INLIER_COUNT,))
+        assert np.array_equal(a.model.weights, b.model.weights)
+        assert a.model.bias == b.model.bias
+        assert a.model == b.model
 
     def test_intercept_only_recovers_base_rate(self):
         # a constant feature standardizes to zero, leaving pure intercept
@@ -305,7 +279,7 @@ class TestTraining:
     def test_non_descent_step_falls_back_to_the_gradient(self, monkeypatch):
         # a negated Hessian turns every Newton step uphill
         x, y = two_cluster_data()
-        config = TrainConfig(l2=0.01, record_loss_history=True)
+        config = TrainConfig(l2=0.01)
         newton = train_features(x, y, (FEATURE_INLIER_COUNT,), config)
         exact = confidence_model.hessian
         monkeypatch.setattr(confidence_model, "hessian", lambda *args: -exact(*args))
@@ -316,15 +290,13 @@ class TestTraining:
 
     def test_metadata_records_the_run(self):
         x, y = two_cluster_data()
-        config = TrainConfig(l2=0.01, seed=4)
-        result = train_features(x, y, (FEATURE_INLIER_COUNT,), config)
+        result = train_features(x, y, (FEATURE_INLIER_COUNT,), TrainConfig(l2=0.01))
         meta = result.model.training_meta
         assert meta["n_train"] == 60
         assert meta["n_positive"] == 30
         assert meta["epochs_run"] == result.epochs_run
         assert meta["converged"] == result.converged
-        assert meta["config"]["l2"] == 0.01
-        assert meta["config"]["seed"] == 4
+        assert meta["config"] == {"max_epochs": 5000, "tol": 1e-8, "l2": 0.01}
         assert set(meta["coverage_params"]) == {
             "neighborhood_fraction",
             "min_half_extent",
@@ -372,7 +344,7 @@ class TestPredict:
         assert out.shape == (3,)
         assert np.all(np.diff(out) > 0.0)
 
-    def test_predict_record_uses_stored_coverage_params(self):
+    def test_score_records_uses_stored_coverage_params(self):
         record = make_record()
         x, y = two_cluster_data()
         # same parameters, different stored coverage settings -> different score
@@ -389,7 +361,21 @@ class TestPredict:
             narrow.standardizer,
             {**narrow.training_meta, "coverage_params": {"neighborhood_fraction": 0.9}},
         )
-        assert predict_record(narrow, record) != predict_record(wide, record)
+        assert score_records(narrow, [record])[0] != score_records(wide, [record])[0]
+
+    def test_score_records_is_predict_over_the_feature_matrix(self):
+        records = build_extended(synth_generate(SynthConfig(queries=6, width=96, height=72), 4))
+        labels = labels_only(label_records(records, ErrorThreshold(1.0, 10.0)))
+        params = CoverageParams(neighborhood_fraction=0.1)
+        model = train(records, labels, params=params).model
+        expected = predict(model, feature_matrix(records, model.feature_set, params))
+        np.testing.assert_array_equal(score_records(model, records), expected)
+        assert predict_record(model, records[3]) == float(score_records(model, [records[3]])[0])
+
+    def test_score_records_of_nothing_is_empty(self):
+        x, y = two_cluster_data()
+        model = train_features(x, y, (FEATURE_INLIER_COUNT,)).model
+        assert score_records(model, []).shape == (0,)
 
     def test_model_shape_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -488,6 +474,21 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="finite") as info:
             from_json_dict(doc)
         assert info.value.field.endswith(field)
+
+    @pytest.mark.parametrize(
+        "params", [[1, 2], {"width": 3}, {"min_half_extent": 1.5}, {"neighborhood_fraction": 0}]
+    )
+    def test_corrupt_coverage_params_rejected_on_load(self, params):
+        doc = to_json_dict(self.make_trained())
+        doc["training_meta"]["coverage_params"] = params
+        with pytest.raises(SchemaError):
+            from_json_dict(doc)
+
+    def test_config_keys_of_older_models_still_load(self):
+        # models written before the fit lost its seed, init and balance knobs
+        doc = to_json_dict(self.make_trained())
+        doc["training_meta"]["config"].update(seed=0, balance_classes=False, init="zero")
+        assert from_json_dict(doc).training_meta["config"]["init"] == "zero"
 
     def test_number_beyond_float_range_rejected(self):
         doc = to_json_dict(self.make_trained())

@@ -158,6 +158,24 @@ class TestValidation:
         with pytest.raises(InvariantViolation):
             ImageDims(10, -1)
 
+    def test_pixel_count_must_fit_int64(self):
+        # coverage_fraction sums the covered area in int64; 2**62 x 24 would wrap
+        with pytest.raises(InvariantViolation):
+            ImageDims(2**62, 24)
+        with pytest.raises(InvariantViolation):
+            ImageDims(2**32, 2**31)
+        assert ImageDims(2**32, 2**31 - 1).pixel_count == 2**63 - 2**32
+
+    def test_window_edge_near_int64_does_not_wrap(self):
+        # x + hx + 1 passes 2**63 here; the window must still end at the border
+        width = 2**63 - 2048
+        dims = ImageDims(width, 1)
+        hx, _ = neighborhood_half_extents(dims)
+        inliers = InlierSet(np.array([[width - 2048, 0]]), dims)
+        assert coverage_fraction(inliers) == (hx + 2048) / width
+        huge = CoverageParams(min_half_extent=2**70)
+        assert coverage_fraction(inliers, huge) == 1.0
+
     def test_params_validation(self):
         with pytest.raises(InvalidConfig):
             CoverageParams(neighborhood_fraction=0.0)
@@ -165,6 +183,13 @@ class TestValidation:
             CoverageParams(neighborhood_fraction=1.5)
         with pytest.raises(InvalidConfig):
             CoverageParams(min_half_extent=0)
+        # as read from a model file
+        with pytest.raises(InvalidConfig):
+            CoverageParams(neighborhood_fraction="0.1")
+        with pytest.raises(InvalidConfig):
+            CoverageParams(neighborhood_fraction=float("nan"))
+        with pytest.raises(InvalidConfig):
+            CoverageParams(min_half_extent=1.5)
 
     def test_out_of_bounds_points_rejected(self):
         dims = ImageDims(30, 30)

@@ -106,6 +106,7 @@ class TestParseRecord:
             ("query_inliers", [[True, 2]]),
             ("query_inliers", "none"),
             ("pv_score", "high"),
+            ("translation", [0.0, 0.0, 2**2000]),  # beyond the float range
         ],
     )
     def test_malformed_values_rejected(self, field, value):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, pose_at
-from poseconf.confidence_model import ConfidenceModel, TrainConfig, predict_record
+from poseconf.confidence_model import ConfidenceModel, score_records
 from poseconf.errors import (
     DegenerateCurve,
     EmptyCandidates,
@@ -26,6 +26,7 @@ from poseconf.evaluation import (
     rerank,
     select_best,
     select_max_inliers,
+    select_per_query,
     sweep_scores,
     threshold_sweep,
 )
@@ -234,6 +235,18 @@ class TestSelection:
         b = make_record("q1", 2, [(1, 1), (3, 3), (5, 5)], [(2, 2), (4, 4), (6, 6)])
         assert select_max_inliers([a, b]) == 1
 
+    def test_select_per_query_picks_within_each_query(self):
+        # queries interleave; ties inside q2 fall back to retrieval rank
+        records = [
+            make_record("q1", 1), make_record("q2", 2), make_record("q1", 2),
+            make_record("q2", 1), make_record("q3", 1),
+        ]
+        scores = [0.1, 0.5, 0.7, 0.5, 0.2]
+        assert select_per_query(records, scores) == [2, 3, 4]
+        assert select_per_query([], []) == []
+        with pytest.raises(InvariantViolation):
+            select_per_query(records, scores[:-1])
+
     def test_rerank_prefers_broad_coverage_at_equal_count(self):
         # positive coverage weights and equal inlier counts: the spread
         # candidate must win over the clustered one
@@ -392,7 +405,7 @@ class TestThresholdSweep:
         records = self.make_records()
         model = self.make_model()
         thresholds = [ErrorThreshold(0.5, 10.0), ErrorThreshold(5.0, 10.0)]
-        scores = [predict_record(model, r) for r in records]
+        scores = score_records(model, records)
         assert sweep_scores(records, scores, thresholds) == threshold_sweep(
             records, model, thresholds
         )

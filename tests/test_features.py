@@ -56,6 +56,10 @@ class TestParseFeatureSet:
         with pytest.raises(InvalidConfig):
             parse_feature_set([])
 
+    def test_non_string_name_rejected(self):
+        with pytest.raises(InvalidConfig, match="strings"):
+            parse_feature_set(["inliers", None])
+
 
 class TestAssemble:
     def test_inlier_count_is_query_side(self):
