@@ -43,6 +43,7 @@ from .evaluation import (
     sweep_scores,
 )
 from .features import parse_feature_set
+from .fileio import atomic_open
 from .plots import line_plot_svg, write_svg
 from .pose_metrics import ErrorThreshold
 
@@ -72,7 +73,7 @@ def _write_manifest(
         "seed": getattr(args, "seed", None),
         "duration_s": round(time.perf_counter() - started, 6),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -227,7 +228,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         model_curve = pr_curve_from_scores(scores, primary_labels)
         inliers_curve = pr_curve_from_scores(counts, primary_labels)
         curves_csv = os.path.join(args.out_dir, "pr_curves.csv")
-        with open(curves_csv, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(curves_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["curve", "recall", "precision"])
             for name, curve in (("model", model_curve), ("inliers", inliers_curve)):
@@ -244,7 +245,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         outputs += [curves_csv, curves_svg]
 
     thresholds_csv = os.path.join(args.out_dir, "thresholds.csv")
-    with open(thresholds_csv, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(thresholds_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["threshold_m", "threshold_deg", "n_records", "n_positive",
@@ -285,7 +286,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             params=model.coverage_params(),
         )
         ablation_csv = os.path.join(args.out_dir, "ablation.csv")
-        with open(ablation_csv, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(ablation_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["features", "auc"])
             for subset, value in ablation_rows:
@@ -320,7 +321,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else [{"features": list(s), "auc": v} for s, v in ablation_rows],
     }
     report_path = os.path.join(args.out_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with atomic_open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     outputs.append(report_path)
@@ -357,7 +358,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     ]
 
     selections_path = os.path.join(args.out_dir, "selections.jsonl")
-    with open(selections_path, "w", encoding="utf-8") as fh:
+    with atomic_open(selections_path, "w", encoding="utf-8") as fh:
         for i in picks:
             obj = serialize_record(records[i], {"confidence": scores[i]})
             fh.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
@@ -373,7 +374,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
             )
         )
     accuracy_csv = os.path.join(args.out_dir, "accuracy.csv")
-    with open(accuracy_csv, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(accuracy_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold_m", "model_accuracy", "max_inliers_accuracy"])
         for meters, ours, baseline in accuracy_rows:

@@ -34,6 +34,7 @@ from .features import (
     fit_standardizer,
     parse_feature_set,
 )
+from .fileio import atomic_open
 
 # Bound but not called: the benchmark tracer (perfbench/trace.py) wraps it here.
 from .features import assemble  # noqa: F401
@@ -415,7 +416,7 @@ def from_json_dict(obj: Mapping) -> ConfidenceModel:
 
 
 def save_model(model: ConfidenceModel, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(to_json_dict(model), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, InvariantViolation
+from .fileio import atomic_open
 
 DEFAULT_NEIGHBORHOOD_FRACTION = 1.0 / 15.0
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -62,25 +63,30 @@ class CoverageParams:
 class InlierSet:
     """Inlier pixel coordinates bound to the image they were detected in.
 
-    Accepts float positions (floored to integer pixels, so feature values
-    are deterministic) and duplicates (RANSAC can report coincident
-    inliers).  Out-of-bounds points are rejected here, at construction.
+    Keeps int64 coordinates exact, accepts float positions (floored to
+    integer pixels, so feature values are deterministic) and duplicates
+    (RANSAC can report coincident inliers).  Out-of-bounds points are
+    rejected here, at construction.
     """
 
     points: np.ndarray  # (n, 2) int64, columns (x, y)
     dims: ImageDims
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.asarray(self.points)
+        # float64 holds integers exactly only up to 2**53, so int64 skips it
+        is_int64 = pts.dtype == np.int64
+        pts = pts.copy() if is_int64 else pts.astype(np.float64)
         if pts.size == 0:
             pts = pts.reshape(0, 2)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InvariantViolation(
                 f"inlier points must have shape (n, 2), got {pts.shape}"
             )
-        if not np.all(np.isfinite(pts)):
-            raise InvariantViolation("inlier coordinates must be finite")
-        pts = np.floor(pts).astype(np.int64)
+        if not is_int64:
+            if not np.all(np.isfinite(pts)):
+                raise InvariantViolation("inlier coordinates must be finite")
+            pts = np.floor(pts).astype(np.int64)
         if len(pts):
             if (
                 pts[:, 0].min() < 0
@@ -211,20 +217,18 @@ def coverage_fraction(
     # clipped before it is formed, as x + hx + 1 can pass int64 on wide images
     x0, x1 = np.maximum(xs - hx, 0), xs + 1 + np.minimum(hx, dims.width - 1 - xs)
     y0, y1 = np.maximum(ys - hy, 0), ys + 1 + np.minimum(hy, dims.height - 1 - ys)
-    ex = np.unique(np.concatenate([x0, x1]))
-    ey = np.unique(np.concatenate([y0, y1]))
-    i0, i1 = np.searchsorted(ex, x0), np.searchsorted(ex, x1)
-    j0, j1 = np.searchsorted(ey, y0), np.searchsorted(ey, y1)
+    ex, ix = np.unique(np.concatenate([x0, x1]), return_inverse=True)
+    ey, iy = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    (i0, i1), (j0, j1) = ix.reshape(2, -1), iy.reshape(2, -1) * len(ex)
 
     # 2-D difference array over grid cells; after both prefix sums a cell
     # holds the number of windows covering it.  Cell (j, i) spans
     # [ex[i], ex[i+1]) x [ey[j], ey[j+1]); the last row and column lie
-    # past every window and stay zero.
+    # past every window and stay zero.  The corners are scattered through
+    # the flat view at index j * len(ex) + i.
     diff = np.zeros((len(ey), len(ex)), dtype=np.int32)
-    np.add.at(diff, (j0, i0), 1)
-    np.add.at(diff, (j0, i1), -1)
-    np.add.at(diff, (j1, i0), -1)
-    np.add.at(diff, (j1, i1), 1)
+    np.add.at(diff.reshape(-1), np.concatenate([j0 + i0, j1 + i1]), 1)
+    np.subtract.at(diff.reshape(-1), np.concatenate([j0 + i1, j1 + i0]), 1)
     np.cumsum(diff, axis=0, dtype=np.int32, out=diff)
     np.cumsum(diff, axis=1, dtype=np.int32, out=diff)
     covered = diff[:-1, :-1] > 0
@@ -238,6 +242,6 @@ def coverage_fraction(
 def write_pgm(cmap: CoverageMap, path) -> None:
     """Export as a binary P5 graymap for visual inspection (255 = covered)."""
     data = np.where(cmap.covered, 255, 0).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{cmap.dims.width} {cmap.dims.height}\n255\n".encode("ascii"))
         fh.write(data.tobytes())

@@ -17,6 +17,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     SchemaError,
     TooFewQueries,
 )
+from .fileio import atomic_open
 from .pose_metrics import ErrorThreshold, Pose, is_correct, pose_error
 
 MIN_CORRESPONDENCES = 3  # below this, estimation is trivially failed
@@ -168,6 +170,18 @@ def _as_real_list(value, n: int, field: str, line: int) -> list[float]:
 def _as_point_list(value, field: str, line: int) -> np.ndarray:
     if not isinstance(value, list):
         raise SchemaError(line=line, field=field, message="expected a list of [x, y] pairs")
+    # One conversion when every entry is a list and every coordinate exactly
+    # an int (types, not isinstance: a bool is an int).  Everything else,
+    # and entries of the wrong length, ragged lists or values beyond int64,
+    # falls through to the loop, which names the first bad entry.
+    if set(map(type, value)) <= {list} and set(map(type, chain.from_iterable(value))) <= {int}:
+        try:
+            points = np.array(value, dtype=np.int64).reshape(-1, 2)
+        except (OverflowError, ValueError):
+            pass
+        else:
+            if len(points) == len(value):
+                return points
     points = np.zeros((len(value), 2), dtype=np.int64)
     for i, pair in enumerate(value):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -333,7 +347,7 @@ def write_records(
     path: str | os.PathLike,
     extras: Sequence[Mapping] | None = None,
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for line in record_lines(records, extras):
             fh.write(line + "\n")
 

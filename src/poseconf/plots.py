@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
+from .fileio import atomic_open
+
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 24, 40, 56
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -115,5 +117,5 @@ def line_plot_svg(
 
 
 def write_svg(svg: str, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(svg)

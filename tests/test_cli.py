@@ -228,6 +228,18 @@ class TestScore:
         assert "SchemaError" in err[0] and "line 1" in err[0] and "query_inliers" in err[0]
         assert not out.exists()
 
+    def test_coordinate_above_2_to_the_53_is_written_back_exactly(self, workspace, tmp_path):
+        obj = serialize_record(make_record())
+        obj.update(query_width=2**62, query_height=1)
+        obj["query_inliers"] = [[2**53 + 1, 0], [5, 0], [9, 0]]
+        data = tmp_path / "wide.jsonl"
+        data.write_text(json.dumps(obj) + "\n")
+        out = tmp_path / "scored.jsonl"
+        code = main(["score", "--data", str(data),
+                     "--model", str(workspace["model"]), "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["query_inliers"] == obj["query_inliers"]
+
     @pytest.mark.parametrize("field", ["query_width", "db_height"])
     def test_out_of_range_image_size_is_a_one_line_error(
         self, workspace, tmp_path, capsys, field

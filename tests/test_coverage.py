@@ -6,6 +6,8 @@ match it bit for bit, and the raster-free coverage_fraction must equal
 the raster's score exactly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,19 @@ class TestValidation:
         assert coverage_fraction(inliers) == (hx + 2048) / width
         huge = CoverageParams(min_half_extent=2**70)
         assert coverage_fraction(inliers, huge) == 1.0
+
+    def test_int64_coordinates_stay_exact(self):
+        # float64 holds every integer only up to 2**53
+        source = np.array([[2**53 + 1, 0]])
+        inliers = InlierSet(source, ImageDims(2**62, 1))
+        source[0, 0] = 0  # the set holds its own copy
+        assert inliers.points[0, 0] == 2**53 + 1
+
+    def test_coordinate_near_int64_max_is_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a float64 round trip warns on the cast back
+            inliers = InlierSet(np.array([[2**63 - 300, 0]]), ImageDims(2**63 - 1, 1))
+        assert inliers.points[0, 0] == 2**63 - 300
 
     def test_params_validation(self):
         with pytest.raises(InvalidConfig):

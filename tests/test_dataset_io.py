@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_record, pose_at, rotation_about
 from poseconf.coverage import ImageDims, InlierSet
@@ -25,6 +27,7 @@ from poseconf.dataset_io import (
     serialize_record,
     synth_generate,
     write_records,
+    _as_point_list,
 )
 from poseconf.errors import (
     InvalidConfig,
@@ -183,6 +186,97 @@ class TestParseStream:
             parse_records(lines)
 
 
+def loop_point_list(value, field: str, line: int) -> np.ndarray:
+    """The per-entry parse of an inlier list, the reference for `_as_point_list`."""
+    if not isinstance(value, list):
+        raise SchemaError(line=line, field=field, message="expected a list of [x, y] pairs")
+    points = np.zeros((len(value), 2), dtype=np.int64)
+    for i, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(line=line, field=field, message=f"entry {i} is not an [x, y] pair")
+        for j in range(2):
+            v = pair[j]
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise SchemaError(
+                    line=line,
+                    field=field,
+                    message=f"entry {i} coordinate {j} is not an integer: {v!r}",
+                )
+            try:
+                points[i, j] = v
+            except OverflowError:
+                raise SchemaError(
+                    line=line,
+                    field=field,
+                    message=f"entry {i} coordinate {j} is out of range: {v!r}",
+                ) from None
+    return points
+
+
+def point_list_outcome(parse, value):
+    try:
+        return parse(value, "db_inliers", 4)
+    except SchemaError as exc:
+        return exc.line, exc.field, str(exc)
+
+
+def assert_parses_like_the_loop(value):
+    got = point_list_outcome(_as_point_list, value)
+    expected = point_list_outcome(loop_point_list, value)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert got.dtype == np.int64 and got.shape == (len(value), 2)
+        np.testing.assert_array_equal(got, expected)
+
+
+small_ints = st.integers(-50, 50)
+ints = st.one_of(
+    small_ints,
+    st.sampled_from([2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**64, -(2**64)]),
+)
+not_ints = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), ints, max_size=1),
+    st.lists(ints, max_size=2),
+)
+entries = st.one_of(
+    st.lists(ints, min_size=2, max_size=2),
+    st.lists(st.one_of(ints, not_ints), min_size=1, max_size=3),
+    st.tuples(ints, ints),
+    ints,
+    not_ints,
+)
+point_lists = st.one_of(
+    st.lists(st.lists(small_ints, min_size=2, max_size=2), max_size=8),
+    st.lists(st.lists(ints, min_size=2, max_size=2), max_size=8),
+    st.lists(st.lists(small_ints | st.booleans() | st.floats(), min_size=2, max_size=2), max_size=6),
+    # entries of one length k, which the one conversion reshapes to k/2 columns
+    st.integers(0, 4).flatmap(
+        lambda k: st.lists(st.lists(ints, min_size=k, max_size=k), max_size=6)
+    ),
+    st.lists(entries, max_size=8),
+    not_ints,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=point_lists)
+def test_point_list_parses_like_the_per_entry_loop(value):
+    assert_parses_like_the_loop(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[], [[True, 2]], [[1, 2, 3], [4, 5, 6]], [[1], [2]], [[2**63, 0]], [[3, 4], [5, 6]]],
+)
+def test_point_list_fixed_cases(value):
+    assert_parses_like_the_loop(value)
+
+
 class TestSerialization:
     def test_field_names_are_exact(self):
         record = parse_record(
@@ -243,6 +337,19 @@ class TestSerialization:
         path = tmp_path / "records.jsonl"
         write_records(records, path)
         assert read_records(path) == records
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        record = parse_record(record_obj())
+        path = tmp_path / "scored.jsonl"
+        write_records([record], path, extras=[{"confidence": 0.5}])
+        before = path.read_bytes()
+        # the second line cannot be written: a NaN is refused mid-file
+        with pytest.raises(ValueError):
+            write_records(
+                [record, record], path, extras=[{"confidence": 0.25}, {"confidence": float("nan")}]
+            )
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["scored.jsonl"]
 
 
 class TestPoseRecordValidation:
