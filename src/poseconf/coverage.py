@@ -63,7 +63,7 @@ class CoverageParams:
 class InlierSet:
     """Inlier pixel coordinates bound to the image they were detected in.
 
-    Keeps int64 coordinates exact, accepts float positions (floored to
+    Keeps integer coordinates exact, accepts float positions (floored to
     integer pixels, so feature values are deterministic) and duplicates
     (RANSAC can report coincident inliers).  Out-of-bounds points are
     rejected here, at construction.
@@ -74,16 +74,18 @@ class InlierSet:
 
     def __post_init__(self):
         pts = np.asarray(self.points)
-        # float64 holds integers exactly only up to 2**53, so int64 skips it
-        is_int64 = pts.dtype == np.int64
-        pts = pts.copy() if is_int64 else pts.astype(np.float64)
+        # float64 holds integers exactly only up to 2**53, so integer dtypes go
+        # to int64 directly; uint64 values past int64 wrap to negatives there,
+        # which the bounds check rejects
+        is_int = np.issubdtype(pts.dtype, np.integer)
+        pts = pts.astype(np.int64 if is_int else np.float64)
         if pts.size == 0:
             pts = pts.reshape(0, 2)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InvariantViolation(
                 f"inlier points must have shape (n, 2), got {pts.shape}"
             )
-        if not is_int64:
+        if not is_int:
             if not np.all(np.isfinite(pts)):
                 raise InvariantViolation("inlier coordinates must be finite")
             pts = np.floor(pts).astype(np.int64)
@@ -225,10 +227,12 @@ def coverage_fraction(
     # holds the number of windows covering it.  Cell (j, i) spans
     # [ex[i], ex[i+1]) x [ey[j], ey[j+1]); the last row and column lie
     # past every window and stay zero.  The corners are scattered through
-    # the flat view at index j * len(ex) + i.
+    # the flat view at index j * len(ex) + i, with an operand of the grid's
+    # dtype: a Python int sends ufunc.at to its slow generic loop.
     diff = np.zeros((len(ey), len(ex)), dtype=np.int32)
-    np.add.at(diff.reshape(-1), np.concatenate([j0 + i0, j1 + i1]), 1)
-    np.subtract.at(diff.reshape(-1), np.concatenate([j0 + i1, j1 + i0]), 1)
+    one = np.int32(1)
+    np.add.at(diff.reshape(-1), np.concatenate([j0 + i0, j1 + i1]), one)
+    np.subtract.at(diff.reshape(-1), np.concatenate([j0 + i1, j1 + i0]), one)
     np.cumsum(diff, axis=0, dtype=np.int32, out=diff)
     np.cumsum(diff, axis=1, dtype=np.int32, out=diff)
     covered = diff[:-1, :-1] > 0

@@ -16,7 +16,7 @@ import math
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -48,6 +48,9 @@ class PoseRecord:
     estimated_pose: Pose
     ground_truth_pose: Pose | None = None
     pv_score: float | None = None
+    # the JSON text this record was parsed from; `record_lines` writes it back
+    # unchanged.  Not an init field, so built or replaced records carry none.
+    source: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.query_id, str):
@@ -170,18 +173,17 @@ def _as_real_list(value, n: int, field: str, line: int) -> list[float]:
 def _as_point_list(value, field: str, line: int) -> np.ndarray:
     if not isinstance(value, list):
         raise SchemaError(line=line, field=field, message="expected a list of [x, y] pairs")
-    # One conversion when every entry is a list and every coordinate exactly
-    # an int (types, not isinstance: a bool is an int).  Everything else,
-    # and entries of the wrong length, ragged lists or values beyond int64,
-    # falls through to the loop, which names the first bad entry.
-    if set(map(type, value)) <= {list} and set(map(type, chain.from_iterable(value))) <= {int}:
-        try:
-            points = np.array(value, dtype=np.int64).reshape(-1, 2)
-        except (OverflowError, ValueError):
-            pass
-        else:
-            if len(points) == len(value):
-                return points
+    # One flat conversion when every entry is a two-element list and every
+    # coordinate exactly an int (types, not isinstance: a bool is an int).
+    # Everything else, and values beyond int64, falls through to the loop,
+    # which names the first bad entry.
+    if set(map(type, value)) <= {list} and set(map(len, value)) <= {2}:
+        flat = list(chain.from_iterable(value))
+        if set(map(type, flat)) <= {int}:
+            try:
+                return np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
+            except OverflowError:
+                pass
     points = np.zeros((len(value), 2), dtype=np.int64)
     for i, pair in enumerate(value):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -279,7 +281,8 @@ def parse_record(obj: Mapping, line: int = 0) -> PoseRecord:
 def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
     """Parse newline-delimited JSON records; blank lines are skipped.
 
-    Any failure carries the 1-based line number it occurred on.
+    Each record keeps its line, without the surrounding JSON whitespace, as
+    its `source`.  Any failure carries the 1-based line number it occurred on.
     """
     records = []
     for line_no, raw in enumerate(lines, start=1):
@@ -290,7 +293,9 @@ def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
         except ValueError as exc:  # JSONDecodeError, or an integer too long to read
             message = getattr(exc, "msg", exc)
             raise SchemaError(line=line_no, message=f"invalid JSON: {message}") from None
-        records.append(parse_record(obj, line_no))
+        record = parse_record(obj, line_no)
+        object.__setattr__(record, "source", raw.strip(" \t\r\n"))
+        records.append(record)
     return records
 
 
@@ -335,11 +340,16 @@ def serialize_record(record: PoseRecord, extra: Mapping | None = None) -> dict:
 def record_lines(
     records: Sequence[PoseRecord], extras: Sequence[Mapping] | None = None
 ) -> Iterator[str]:
+    """One JSON line per record: its source line when it was parsed and gets
+    no extra fields, else the compact encoding of `serialize_record`."""
     for i, record in enumerate(records):
         extra = extras[i] if extras is not None else None
-        yield json.dumps(
-            serialize_record(record, extra), separators=(",", ":"), allow_nan=False
-        )
+        if record.source is not None and not extra:
+            yield record.source
+        else:
+            yield json.dumps(
+                serialize_record(record, extra), separators=(",", ":"), allow_nan=False
+            )
 
 
 def write_records(
@@ -674,6 +684,8 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> list[PoseRecord]:
     records draw from a fraction-sized regime pool that is shuffled so the
     regimes spread across queries.
     """
+    if seed < 0:  # numpy seeds are non-negative
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
     total = config.queries * config.candidates_per_query
     if total == 0:
         return []

@@ -107,6 +107,13 @@ class TestSynth:
                      "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
 
+    def test_negative_seed_is_a_one_line_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        assert main(["synth", "--queries", "2", "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
+        assert not out.exists()
+
 
 class TestTrain:
     def test_model_file_and_splits(self, workspace):
@@ -121,6 +128,25 @@ class TestTrain:
         assert not train_ids & test_ids
         meta = model.training_meta
         assert meta["n_train"] == len(train_records)
+
+    def test_splits_copy_their_source_lines(self, workspace, tmp_path):
+        # non-canonical spacing, reordered keys, an unknown key, CRLF line ends
+        source = []
+        for i, line in enumerate(workspace["data"].read_text().splitlines()):
+            obj = dict(reversed(json.loads(line).items()), note=i)
+            source.append(json.dumps(obj, separators=(", ", " : ")))
+        data = tmp_path / "loose.jsonl"
+        data.write_bytes("".join(f"  {line}\t\r\n" for line in source).encode())
+        train_out, test_out = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--train-out", str(train_out), "--test-out", str(test_out)])
+        assert code == 0
+        written = []
+        for path in (train_out, test_out):
+            raw = path.read_bytes()
+            assert b"\r" not in raw
+            written += raw.decode().splitlines()
+        assert sorted(written) == sorted(source)
 
     def test_manifest_records_the_filter_and_the_fit(self, tmp_path, capsys):
         data = tmp_path / "junk.jsonl"
@@ -213,6 +239,25 @@ class TestScore:
         assert code == 0
         for line in out.read_text().splitlines():
             assert 0.0 < json.loads(line)["confidence"] < 1.0
+
+    def test_output_is_canonical_with_confidence_last(self, workspace, tmp_path):
+        lines = workspace["test"].read_text().splitlines()
+        data = tmp_path / "loose.jsonl"
+        data.write_text("".join(
+            json.dumps(dict(reversed(json.loads(line).items()), note=1)) + "\n"
+            for line in lines
+        ))
+        out = tmp_path / "scored.jsonl"
+        code = main(["score", "--data", str(data),
+                     "--model", str(workspace["model"]), "--out", str(out)])
+        assert code == 0
+        scored = out.read_text().splitlines()
+        assert len(scored) == len(lines)
+        for line, record in zip(scored, read_records(data)):
+            obj = json.loads(line)
+            assert list(obj)[-1] == "confidence"
+            expected = serialize_record(record, {"confidence": obj["confidence"]})
+            assert line == json.dumps(expected, separators=(",", ":"))
 
     def test_out_of_range_coordinate_is_a_one_line_error(self, workspace, tmp_path, capsys):
         obj = serialize_record(make_record())

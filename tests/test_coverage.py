@@ -191,6 +191,24 @@ class TestValidation:
             inliers = InlierSet(np.array([[2**63 - 300, 0]]), ImageDims(2**63 - 1, 1))
         assert inliers.points[0, 0] == 2**63 - 300
 
+    def test_uint64_coordinates_stay_exact(self):
+        source = np.array([[2**53 + 1, 0]], dtype=np.uint64)
+        inliers = InlierSet(source, ImageDims(2**62, 1))
+        assert inliers.points.dtype == np.int64
+        assert inliers.points[0, 0] == 2**53 + 1
+
+    def test_uint64_coordinate_beyond_int64_is_rejected(self):
+        source = np.array([[2**63 + 5, 0]], dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning on the way
+            with pytest.raises(InvariantViolation):
+                InlierSet(source, ImageDims(2**63 - 1, 1))
+
+    def test_int32_coordinates_are_accepted(self):
+        inliers = InlierSet(np.array([[3, 4], [7, 5]], dtype=np.int32), ImageDims(8, 6))
+        assert inliers.points.dtype == np.int64
+        assert inliers.points.tolist() == [[3, 4], [7, 5]]
+
     def test_params_validation(self):
         with pytest.raises(InvalidConfig):
             CoverageParams(neighborhood_fraction=0.0)

@@ -1,5 +1,6 @@
 """Tests for record parsing, serialization, splitting, and the generator."""
 
+import dataclasses
 import json
 import random
 
@@ -352,6 +353,49 @@ class TestSerialization:
         assert [p.name for p in tmp_path.iterdir()] == ["scored.jsonl"]
 
 
+class TestSourcePassThrough:
+    """A parsed record is written back as its source line unless extras are added."""
+
+    LINE = (
+        '{ "translation": [0.0, 0.0, 0.0],  "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],'
+        ' "query_id": "q0", "candidate_rank": 1, "note": "kept",'
+        ' "query_width": 32, "query_height": 24, "db_width": 48, "db_height": 36,'
+        ' "query_inliers": [[4, 4], [10, 7], [20, 18]],'
+        ' "db_inliers": [[5, 5], [12, 9], [25, 20]], "num_correspondences": 8 }'
+    )
+
+    def canonical(self, record, extra=None):
+        return json.dumps(serialize_record(record, extra), separators=(",", ":"))
+
+    def test_parsed_record_keeps_its_line(self):
+        (record,) = parse_records([" \t" + self.LINE + " \r\n"])
+        assert record.source == self.LINE
+        assert list(record_lines([record])) == [self.LINE]
+
+    def test_source_is_not_part_of_equality_or_repr(self):
+        (record,) = parse_records([self.LINE])
+        assert record == parse_record(json.loads(self.LINE))
+        assert self.LINE not in repr(record)
+
+    def test_extras_re_encode_canonically(self):
+        (record,) = parse_records([self.LINE])
+        (line,) = record_lines([record], extras=[{"confidence": 0.25}])
+        assert line == self.canonical(record, {"confidence": 0.25})
+        assert list(json.loads(line))[-1] == "confidence"
+        assert "note" not in json.loads(line)
+
+    def test_replaced_record_re_encodes(self):
+        (record,) = parse_records([self.LINE])
+        moved = dataclasses.replace(record, candidate_rank=2)
+        assert moved.source is None
+        assert list(record_lines([moved])) == [self.canonical(moved)]
+
+    def test_built_records_encode_canonically(self):
+        records = synth_generate(SynthConfig(queries=2, candidates_per_query=2), seed=4)
+        assert all(r.source is None for r in records)
+        assert list(record_lines(records)) == [self.canonical(r) for r in records]
+
+
 class TestPoseRecordValidation:
     def test_rank_must_be_positive(self):
         with pytest.raises(InvariantViolation):
@@ -542,6 +586,10 @@ class TestSynthGenerate:
 
     def test_zero_queries(self):
         assert synth_generate(SynthConfig(queries=0), seed=0) == []
+
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(InvalidConfig):
+            synth_generate(SynthConfig(queries=2), seed=-1)
 
     def test_record_invariants(self):
         config = SynthConfig(
