@@ -2,7 +2,6 @@
 
 from .confidence_model import (
     ConfidenceModel,
-    TrainConfig,
     TrainResult,
     load_model,
     logsig,
@@ -41,18 +40,13 @@ from .dataset_io import (
 from .errors import PoseconfError
 from .evaluation import (
     PRCurve,
-    ScoredLabel,
     SweepRow,
     ablation,
     accuracy_at,
-    auc,
-    pr_curve,
     pr_curve_from_scores,
-    rerank,
     select_max_inliers,
     select_per_query,
     sweep_scores,
-    threshold_sweep,
 )
 from .features import (
     DEFAULT_FEATURE_SET,

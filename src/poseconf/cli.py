@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .confidence_model import TrainConfig, load_model, save_model, score_records, train
+from .confidence_model import load_model, save_model, score_records, train
 from .dataset_io import (
     SplitSpec,
     SynthConfig,
@@ -135,7 +135,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     threshold = ErrorThreshold(args.threshold_m, args.threshold_deg)
     feature_set = parse_feature_set(args.features)
-    config = TrainConfig(max_epochs=args.epochs, tol=args.tol, l2=args.l2)
     loaded = read_records(args.data)
     records = build_extended(loaded)
     label_records(records, threshold)  # validate ground truth up front
@@ -143,7 +142,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         records, SplitSpec(args.split, args.seed)
     )
     labels = labels_only(label_records(train_records, threshold))
-    result = train(train_records, labels, feature_set, config)
+    result = train(train_records, labels, feature_set)
 
     outputs = [args.out]
     save_model(result.model, args.out)
@@ -201,10 +200,11 @@ def _leave_one_out_subsets(feature_set: tuple[str, ...]) -> list[tuple[str, ...]
 
 def cmd_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if args.ablate and not args.train_data:
+        raise InvalidConfig("--ablate requires --train-data")
     model = load_model(args.model)
     thresholds = _parse_threshold_list(args.thresholds)
     records = read_records(args.data)
-    os.makedirs(args.out_dir, exist_ok=True)
     n_queries = len(group_by_query(records))
 
     scores = score_records(model, records)
@@ -216,6 +216,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     primary = rows[0]
     primary_labels = labels_only(label_records(records, thresholds[0]))
 
+    ablation_rows = None
+    facts = None
+    if args.ablate:
+        loaded = read_records(args.train_data)
+        train_records = build_extended(loaded)
+        facts = {
+            "build_extended": {"n_in": len(loaded), "n_dropped": len(loaded) - len(train_records)}
+        }
+        train_labels = labels_only(label_records(train_records, thresholds[0]))
+        subsets = _leave_one_out_subsets(model.feature_set)
+        ablation_rows = ablation(
+            train_records,
+            train_labels,
+            records,
+            primary_labels,
+            subsets,
+            params=model.coverage_params(),
+        )
+
+    os.makedirs(args.out_dir, exist_ok=True)
     outputs = []
     if primary.degenerate:
         print(
@@ -265,26 +285,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
     outputs.append(thresholds_csv)
 
-    ablation_rows = None
-    facts = None
-    if args.ablate:
-        if not args.train_data:
-            raise InvalidConfig("--ablate requires --train-data")
-        loaded = read_records(args.train_data)
-        train_records = build_extended(loaded)
-        facts = {
-            "build_extended": {"n_in": len(loaded), "n_dropped": len(loaded) - len(train_records)}
-        }
-        train_labels = labels_only(label_records(train_records, thresholds[0]))
-        subsets = _leave_one_out_subsets(model.feature_set)
-        ablation_rows = ablation(
-            train_records,
-            train_labels,
-            records,
-            primary_labels,
-            subsets,
-            params=model.coverage_params(),
-        )
+    if ablation_rows is not None:
         ablation_csv = os.path.join(args.out_dir, "ablation.csv")
         with atomic_open(ablation_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -347,8 +348,10 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model = load_model(args.model)
     records = read_records(args.data)
-    thresholds_m = _parse_float_list(args.thresholds_m)
-    os.makedirs(args.out_dir, exist_ok=True)
+    thresholds = [
+        ErrorThreshold(meters, args.threshold_deg)
+        for meters in _parse_float_list(args.thresholds_m)
+    ]
 
     scores = score_records(model, records).tolist()
     picks = select_per_query(records, scores)
@@ -356,6 +359,16 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     baseline_selected = [
         group[select_max_inliers(group)] for group in group_by_query(records).values()
     ]
+    accuracy_rows = [
+        (
+            threshold.max_translation_m,
+            accuracy_at(model_selected, threshold),
+            accuracy_at(baseline_selected, threshold),
+        )
+        for threshold in thresholds
+    ]
+
+    os.makedirs(args.out_dir, exist_ok=True)
 
     selections_path = os.path.join(args.out_dir, "selections.jsonl")
     with atomic_open(selections_path, "w", encoding="utf-8") as fh:
@@ -363,16 +376,6 @@ def cmd_rerank(args: argparse.Namespace) -> int:
             obj = serialize_record(records[i], {"confidence": scores[i]})
             fh.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
 
-    accuracy_rows = []
-    for meters in thresholds_m:
-        threshold = ErrorThreshold(meters, args.threshold_deg)
-        accuracy_rows.append(
-            (
-                meters,
-                accuracy_at(model_selected, threshold),
-                accuracy_at(baseline_selected, threshold),
-            )
-        )
     accuracy_csv = os.path.join(args.out_dir, "accuracy.csv")
     with atomic_open(accuracy_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -453,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="inliers,qcov,dbcov",
         help="comma list: inliers, qcov, dbcov, pv",
     )
-    p.add_argument("--epochs", type=int, default=5000, help="Newton iteration cap")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--l2", type=float, default=0.0)
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("score", help="append model confidence to each record")

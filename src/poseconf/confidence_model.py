@@ -1,17 +1,16 @@
 """Logistic confidence model over pose-candidate features.
 
 The confidence of a pose candidate is sigmoid(bias + w . x) where x is the
-standardized feature vector.  Training minimizes the (optionally
-L2-regularized) negative log likelihood by damped Newton steps (iteratively
-reweighted least squares) — the problem is convex with at most a handful of
-parameters, so a from-scratch optimizer keeps the package dependency-free
-while staying exactly reproducible.
+standardized feature vector.  Training minimizes the negative log
+likelihood by damped Newton steps (iteratively reweighted least squares) —
+the problem is convex with at most a handful of parameters, so a
+from-scratch optimizer keeps the package dependency-free while staying
+exactly reproducible.  The fit has no settings.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -44,6 +43,8 @@ if TYPE_CHECKING:
 
 MODEL_FORMAT_VERSION = 1
 
+_MAX_ITERATIONS = 5000
+_LOSS_TOL = 1e-8
 _MAX_HALVINGS = 60
 _GRAD_INF_STOP = 1e-10
 
@@ -66,31 +67,6 @@ def logsig(m):
 def _softplus(m: np.ndarray) -> np.ndarray:
     # log(1 + exp(m)) without overflow
     return np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Damped-Newton settings.
-
-    The fit always starts from zero weights and bias; the problem is
-    convex, so the start point does not change what the fit reaches.
-    `max_epochs` caps the Newton iterations; the fit stops earlier once the
-    gradient vanishes or a step improves the loss by less than `tol`, which
-    takes a few tens of iterations at most on the package's datasets.
-    `l2` adds (l2/2)*||w||^2 to the loss (the bias is not penalized).
-    """
-
-    max_epochs: int = 5000
-    tol: float = 1e-8
-    l2: float = 0.0
-
-    def __post_init__(self):
-        if self.max_epochs < 1:
-            raise InvalidConfig(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not (self.tol >= 0 and math.isfinite(self.tol)):
-            raise InvalidConfig(f"tol must be a finite non-negative value, got {self.tol}")
-        if not (self.l2 >= 0 and math.isfinite(self.l2)):
-            raise InvalidConfig(f"l2 must be a finite non-negative value, got {self.l2}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,40 +149,32 @@ def predict_record(model: ConfidenceModel, record: "PoseRecord") -> float:
     return float(score_records(model, [record])[0])
 
 
-def nll_loss(
-    weights: np.ndarray, bias: float, data: TrainData, l2: float = 0.0
-) -> float:
-    """Mean negative log likelihood plus (l2/2)*||w||^2.
+def nll_loss(weights: np.ndarray, bias: float, data: TrainData) -> float:
+    """Mean negative log likelihood.
 
     Uses the softplus identity -log sigmoid(m) = softplus(-m), which stays
     finite for any margin.
     """
     m = data.z @ weights + bias
     per_sample = data.y * _softplus(-m) + (1.0 - data.y) * _softplus(m)
-    loss = float(np.mean(per_sample))
-    return loss + 0.5 * l2 * float(weights @ weights)
+    return float(np.mean(per_sample))
 
 
-def gradient(
-    weights: np.ndarray, bias: float, data: TrainData, l2: float = 0.0
-) -> tuple[np.ndarray, float]:
+def gradient(weights: np.ndarray, bias: float, data: TrainData) -> tuple[np.ndarray, float]:
     """Exact gradient of nll_loss with respect to (weights, bias)."""
     m = data.z @ weights + bias
     residual = np.asarray(logsig(m)) - data.y
-    grad_w = data.z.T @ residual / len(data) + l2 * weights
+    grad_w = data.z.T @ residual / len(data)
     grad_b = float(np.mean(residual))
     return grad_w, grad_b
 
 
-def hessian(weights: np.ndarray, bias: float, data: TrainData, l2: float = 0.0) -> np.ndarray:
+def hessian(weights: np.ndarray, bias: float, data: TrainData) -> np.ndarray:
     """Exact (k+1, k+1) Hessian of nll_loss over (weights, bias), bias last."""
     m = data.z @ weights + bias
     p = np.asarray(logsig(m))
     z1 = np.column_stack([data.z, np.ones(len(data))])
-    h = (z1.T * (p * (1.0 - p))) @ z1 / len(data)
-    k = len(weights)
-    h[np.arange(k), np.arange(k)] += l2
-    return h
+    return (z1.T * (p * (1.0 - p))) @ z1 / len(data)
 
 
 def prepare_train_data(
@@ -244,16 +212,17 @@ def train_features(
     features: np.ndarray,
     labels: Sequence[bool] | np.ndarray,
     feature_set: Sequence[str],
-    config: TrainConfig = TrainConfig(),
     params: CoverageParams = CoverageParams(),
 ) -> TrainResult:
     """Fit the logistic model on an already-assembled raw feature matrix.
 
-    Deterministic for a given (features, labels, feature_set, config).  The
-    fit starts from zero and each iteration takes a Newton step (the
-    gradient direction if that step does not descend), halved until the
-    loss does not increase (backtracking), so `loss_history` is
-    non-increasing.
+    Deterministic for a given (features, labels, feature_set).  The fit
+    starts from zero and each iteration takes a Newton step (the gradient
+    direction if that step does not descend), halved until the loss does
+    not increase (backtracking), so `loss_history` is non-increasing.  It
+    stops once the gradient vanishes, a step improves the loss by less than
+    `_LOSS_TOL`, or after `_MAX_ITERATIONS` iterations (not converged); the
+    package's datasets take a few tens at most.
 
     `params` is recorded in the model metadata as the coverage settings the
     matrix was built with, so scoring reproduces the same features.
@@ -270,26 +239,26 @@ def train_features(
     k = len(feature_set)
     w, b = np.zeros(k), 0.0
 
-    loss = nll_loss(w, b, data, config.l2)
+    loss = nll_loss(w, b, data)
     history = [loss]
     epochs_run = 0
     converged = False
-    for _ in range(config.max_epochs):
-        grad_w, grad_b = gradient(w, b, data, config.l2)
+    for _ in range(_MAX_ITERATIONS):
+        grad_w, grad_b = gradient(w, b, data)
         grad = np.append(grad_w, grad_b)
         if np.max(np.abs(grad)) < _GRAD_INF_STOP:
             converged = True
             break
         # a constant feature standardizes to a zero column and makes the
         # Hessian singular; the minimum-norm step leaves its weight alone
-        step = -np.linalg.lstsq(hessian(w, b, data, config.l2), grad, rcond=None)[0]
+        step = -np.linalg.lstsq(hessian(w, b, data), grad, rcond=None)[0]
         if not grad @ step < 0.0:  # not a descent direction
             step = -grad
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             w_new = w + scale * step[:k]
             b_new = b + scale * float(step[k])
-            loss_new = nll_loss(w_new, b_new, data, config.l2)
+            loss_new = nll_loss(w_new, b_new, data)
             if loss_new <= loss:
                 break
             scale *= 0.5
@@ -300,7 +269,7 @@ def train_features(
         improvement = loss - loss_new
         w, b, loss = w_new, b_new, loss_new
         history.append(loss)
-        if improvement < config.tol:
+        if improvement < _LOSS_TOL:
             converged = True
             break
 
@@ -313,11 +282,6 @@ def train_features(
         "coverage_params": {
             "neighborhood_fraction": params.neighborhood_fraction,
             "min_half_extent": params.min_half_extent,
-        },
-        "config": {
-            "max_epochs": config.max_epochs,
-            "tol": config.tol,
-            "l2": config.l2,
         },
     }
     model = ConfidenceModel(feature_set, w, b, standardizer, meta)
@@ -334,7 +298,6 @@ def train(
     records: Sequence["PoseRecord"],
     labels: Sequence[bool] | np.ndarray,
     feature_set: Sequence[str] | None = None,
-    config: TrainConfig = TrainConfig(),
     params: CoverageParams = CoverageParams(),
 ) -> TrainResult:
     """Assemble features from records, then fit (see train_features)."""
@@ -342,7 +305,7 @@ def train(
     if len(records) == 0:
         raise EmptyDataset("no training records")
     x = feature_matrix(records, feature_set, params)
-    return train_features(x, labels, feature_set, config, params)
+    return train_features(x, labels, feature_set, params)
 
 
 def raw_space_parameters(model: ConfidenceModel) -> tuple[np.ndarray, float]:

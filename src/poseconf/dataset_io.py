@@ -278,6 +278,15 @@ def parse_record(obj: Mapping, line: int = 0) -> PoseRecord:
         raise
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"non-standard token {token}")
+
+
+# json.loads also reads NaN, Infinity and -Infinity; a record holding one in
+# an unknown key would be copied into a file that strict JSON cannot read
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
     """Parse newline-delimited JSON records; blank lines are skipped.
 
@@ -289,8 +298,8 @@ def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
         if not raw.strip():
             continue
         try:
-            obj = json.loads(raw)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to read
+            obj = _DECODER.decode(raw)
+        except ValueError as exc:  # not JSON, a NaN/Infinity token, or an integer too long
             message = getattr(exc, "msg", exc)
             raise SchemaError(line=line_no, message=f"invalid JSON: {message}") from None
         record = parse_record(obj, line_no)

@@ -65,10 +65,6 @@ class NoPositives(PoseconfError):
     """Precision-recall is undefined without at least one positive label."""
 
 
-class DegenerateCurve(PoseconfError):
-    """A curve with fewer than two points cannot be integrated."""
-
-
 class MissingGroundTruth(PoseconfError):
     """A record lacks the ground-truth pose required by the operation."""
 

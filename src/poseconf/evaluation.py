@@ -14,11 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .confidence_model import ConfidenceModel, predict, score_records, train_features
+from .confidence_model import predict, train_features
 from .coverage import CoverageParams
 from .dataset_io import PoseRecord, label_records, labels_only
 from .errors import (
-    DegenerateCurve,
     EmptyCandidates,
     EmptyDataset,
     InvariantViolation,
@@ -29,26 +28,6 @@ from .features import FEATURE_INLIER_COUNT, KNOWN_FEATURES, feature_matrix, pars
 from .pose_metrics import ErrorThreshold, is_correct, pose_error
 
 _AUC_CONSISTENCY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ScoredLabel:
-    """One scored item: any real-valued score plus its binary label."""
-
-    score: float
-    label: int
-    query_id: str = ""
-    candidate_rank: int = 1
-
-    def __post_init__(self):
-        if not np.isfinite(self.score):
-            raise InvariantViolation(f"score must be finite, got {self.score}")
-        if self.label not in (0, 1):
-            raise InvariantViolation(f"label must be 0 or 1, got {self.label}")
-        if self.candidate_rank < 1:
-            raise InvariantViolation(
-                f"candidate_rank must be >= 1, got {self.candidate_rank}"
-            )
 
 
 @dataclass(frozen=True)
@@ -118,20 +97,6 @@ def pr_curve_from_scores(scores, labels) -> PRCurve:
     return PRCurve(tuple(points), _trapezoid(points))
 
 
-def pr_curve(items: Sequence[ScoredLabel]) -> PRCurve:
-    """PR curve over scored items (see pr_curve_from_scores)."""
-    return pr_curve_from_scores(
-        [item.score for item in items], [item.label for item in items]
-    )
-
-
-def auc(curve: PRCurve) -> float:
-    """Trapezoidal area under the curve, recomputed from its points."""
-    if len(curve.points) < 2:
-        raise DegenerateCurve("need at least two points to integrate")
-    return _trapezoid(curve.points)
-
-
 # ---------------------------------------------------------------------------
 # selection / reranking
 
@@ -179,11 +144,6 @@ def select_per_query(records: Sequence[PoseRecord], scores: Sequence[float]) -> 
         rows[select_best([records[i] for i in rows], [scores[i] for i in rows])]
         for rows in groups.values()
     ]
-
-
-def rerank(candidates: Sequence[PoseRecord], model: ConfidenceModel) -> int:
-    """Index of the candidate the model is most confident in."""
-    return select_best(candidates, score_records(model, candidates))
 
 
 def select_max_inliers(candidates: Sequence[PoseRecord]) -> int:
@@ -255,15 +215,6 @@ class SweepRow:
     @property
     def degenerate(self) -> bool:
         return self.model_auc is None
-
-
-def threshold_sweep(
-    records: Sequence[PoseRecord],
-    model: ConfidenceModel,
-    thresholds: Sequence[ErrorThreshold],
-) -> list[SweepRow]:
-    """Score the records once with the model as-is, then sweep_scores."""
-    return sweep_scores(records, score_records(model, records), thresholds)
 
 
 def sweep_scores(

@@ -18,13 +18,13 @@ import pytest
 
 from poseconf.cli import main as cli_main
 from poseconf.confidence_model import (
-    TrainConfig,
     from_json_dict,
     gradient,
     load_model,
     nll_loss,
     predict_record,
     save_model,
+    score_records,
     to_json_dict,
     train,
     train_features,
@@ -58,9 +58,9 @@ from poseconf.evaluation import (
     ablation,
     accuracy_at,
     pr_curve_from_scores,
-    rerank,
+    select_best,
     select_max_inliers,
-    threshold_sweep,
+    sweep_scores,
 )
 from poseconf.features import DEFAULT_FEATURE_SET
 from poseconf.pose_metrics import ErrorThreshold
@@ -94,7 +94,7 @@ def bench():
     # best-candidate subset: the gamma-selected pose of every held-out query
     picks = []
     for group in group_by_query(test_records).values():
-        picks.append(group[rerank(group, model)])
+        picks.append(group[select_best(group, score_records(model, group))])
     pick_labels = labels_only(label_records(picks))
     pick_scores = [predict_record(model, r) for r in picks]
     pick_counts = [float(r.inlier_count) for r in picks]
@@ -182,16 +182,15 @@ def test_criterion_03_gradient_matches_finite_differences():
         )
         w = rng.normal(scale=2.0, size=k)
         b = float(rng.normal(scale=2.0))
-        l2 = float(rng.choice([0.0, 0.1, 1.0]))
-        grad_w, grad_b = gradient(w, b, data, l2)
+        grad_w, grad_b = gradient(w, b, data)
 
         fd = np.zeros(k + 1)
         for i in range(k):
             up, down = w.copy(), w.copy()
             up[i] += h
             down[i] -= h
-            fd[i] = (nll_loss(up, b, data, l2) - nll_loss(down, b, data, l2)) / (2 * h)
-        fd[k] = (nll_loss(w, b + h, data, l2) - nll_loss(w, b - h, data, l2)) / (2 * h)
+            fd[i] = (nll_loss(up, b, data) - nll_loss(down, b, data)) / (2 * h)
+        fd[k] = (nll_loss(w, b + h, data) - nll_loss(w, b - h, data)) / (2 * h)
 
         analytic = np.append(grad_w, grad_b)
         rel = float(np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12))
@@ -205,18 +204,17 @@ def test_criterion_03_gradient_matches_finite_differences():
 
 
 def test_criterion_04_intercept_only_training():
-    config = TrainConfig(max_epochs=20000, tol=1e-13)
     ok = True
     details = []
     for n_pos, n in ((3, 10), (7, 10), (1, 4)):
         labels = np.array([1.0] * n_pos + [0.0] * (n - n_pos))
         x = np.zeros((n, 1))  # constant feature standardizes away
-        result = train_features(x, labels, ("inlier_count",), config)
+        result = train_features(x, labels, ("inlier_count",))
         target = math.log(n_pos / (n - n_pos))
         gap = abs(result.model.bias - target)
         history = np.array(result.loss_history)
         monotone = bool(np.all(np.diff(history) <= 0.0))
-        rerun = train_features(x, labels, ("inlier_count",), config)
+        rerun = train_features(x, labels, ("inlier_count",))
         identical = (
             np.array_equal(result.model.weights, rerun.model.weights)
             and result.model.bias == rerun.model.bias
@@ -325,7 +323,7 @@ def test_criterion_07_ablation_ranks_full_model_first(bench):
 
 def test_criterion_08_rerank_accuracy_sweep(bench):
     groups = list(group_by_query(bench["test_records"]).values())
-    model_picks = [g[rerank(g, bench["model"])] for g in groups]
+    model_picks = [g[select_best(g, score_records(bench["model"], g))] for g in groups]
     count_picks = [g[select_max_inliers(g)] for g in groups]
     thresholds = [ErrorThreshold(m, 10.0) for m in np.arange(0.25, 2.01, 0.25)]
     model_curve = [accuracy_at(model_picks, t) for t in thresholds]
@@ -343,7 +341,8 @@ def test_criterion_08_rerank_accuracy_sweep(bench):
 
 def test_criterion_09_threshold_transfer(bench):
     thresholds = [ErrorThreshold(m, 10.0) for m in (1.5, 1.0, 0.5, 0.25)]
-    rows = threshold_sweep(bench["test_records"], bench["model"], thresholds)
+    test_records = bench["test_records"]
+    rows = sweep_scores(test_records, score_records(bench["model"], test_records), thresholds)
     ok = (
         len(rows) == 4
         and not any(row.degenerate for row in rows)

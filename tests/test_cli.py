@@ -10,12 +10,13 @@ from collections import Counter
 
 import pytest
 
+import poseconf.confidence_model
 import poseconf.features
 from conftest import make_record
 from poseconf.cli import main
-from poseconf.confidence_model import load_model
+from poseconf.confidence_model import load_model, score_records
 from poseconf.dataset_io import build_extended, read_records, serialize_record, write_records
-from poseconf.evaluation import threshold_sweep
+from poseconf.evaluation import sweep_scores
 from poseconf.pose_metrics import ErrorThreshold
 
 SYNTH_ARGS = [
@@ -167,10 +168,10 @@ class TestTrain:
             "final_loss": meta["final_loss"],
         }
 
-    def test_unconverged_fit_warns_on_one_line(self, workspace, tmp_path, capsys):
+    def test_unconverged_fit_warns_on_one_line(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(poseconf.confidence_model, "_MAX_ITERATIONS", 1)
         model = tmp_path / "m.json"
-        code = main(["train", "--data", str(workspace["data"]), "--out", str(model),
-                     "--epochs", "1"])
+        code = main(["train", "--data", str(workspace["data"]), "--out", str(model)])
         assert code == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("warning: fit did not converge")
@@ -178,10 +179,16 @@ class TestTrain:
         assert manifest["fit"]["converged"] is False
         assert manifest["fit"]["iterations"] == 1
 
-    def test_learning_rate_flag_is_gone(self, workspace, tmp_path):
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--learning-rate", "0.1"), ("--epochs", "1"), ("--tol", "1e-3"), ("--l2", "0.1")],
+        ids=["--learning-rate", "--epochs", "--tol", "--l2"],
+    )
+    def test_removed_fit_flags_are_usage_errors(self, workspace, tmp_path, flag, value):
         code = main(["train", "--data", str(workspace["data"]),
-                     "--out", str(tmp_path / "m.json"), "--learning-rate", "0.1"])
+                     "--out", str(tmp_path / "m.json"), flag, value])
         assert code == 2
+        assert not (tmp_path / "m.json").exists()
 
     def test_single_feature_request(self, workspace, tmp_path):
         out = tmp_path / "inliers.json"
@@ -348,9 +355,10 @@ class TestEval:
             rows = list(csv.DictReader(fh))
         assert [r["threshold_m"] for r in rows] == ["1.0", "0.5"]
         # the report's rows are the library's sweep of the same model
-        sweep = threshold_sweep(
-            read_records(workspace["test"]),
-            load_model(workspace["model"]),
+        test_records = read_records(workspace["test"])
+        sweep = sweep_scores(
+            test_records,
+            score_records(load_model(workspace["model"]), test_records),
             [ErrorThreshold(1.0, 10.0), ErrorThreshold(0.5, 10.0)],
         )
         assert [(t["n_positive"], t["model_auc"], t["inliers_auc"])
@@ -370,6 +378,19 @@ class TestEval:
                      "--model", str(workspace["model"]),
                      "--out-dir", str(tmp_path / "eval"), "--ablate"])
         assert code == 2
+
+    @pytest.mark.parametrize("bad_train_data,code", [(False, 2), (True, 1)])
+    def test_ablation_error_leaves_no_output(
+        self, workspace, tmp_path, capsys, bad_train_data, code
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n")
+        out_dir = tmp_path / "eval"
+        argv = ["eval", "--data", str(workspace["test"]), "--model", str(workspace["model"]),
+                "--out-dir", str(out_dir), "--ablate"]
+        assert main(argv + (["--train-data", str(bad)] if bad_train_data else [])) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_ablation_table(self, workspace, tmp_path):
         out_dir = tmp_path / "eval"
@@ -557,6 +578,18 @@ class TestRerank:
         assert len(rows) == 1
         assert float(rows[0]["model_accuracy"]) == 1.0
         assert float(rows[0]["max_inliers_accuracy"]) == 1.0
+
+    @pytest.mark.parametrize(
+        "flag", [["--thresholds-m=-1"], ["--threshold-deg", "200"]], ids=["meters", "degrees"]
+    )
+    def test_bad_threshold_leaves_no_output(self, workspace, tmp_path, capsys, flag):
+        out_dir = tmp_path / "rerank"
+        code = main(["rerank", "--data", str(workspace["test"]),
+                     "--model", str(workspace["model"]),
+                     "--out-dir", str(out_dir)] + flag)
+        assert code == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_missing_ground_truth_is_reported(self, workspace, tmp_path, capsys):
         data = tmp_path / "nogt.jsonl"

@@ -13,7 +13,6 @@ from poseconf import confidence_model
 from poseconf.coverage import CoverageParams
 from poseconf.confidence_model import (
     ConfidenceModel,
-    TrainConfig,
     TrainData,
     from_json_dict,
     gradient,
@@ -95,27 +94,21 @@ class TestLoss:
         assert loss == pytest.approx(0.3132616875182228, rel=1e-15)
         assert loss == pytest.approx(-math.log(logsig(1.0)), rel=1e-15)
 
-    def test_l2_term(self):
-        data = TrainData(np.array([[0.0]]), np.array([1.0]))
-        w = np.array([2.0])
-        base = nll_loss(w, 0.0, data, l2=0.0)
-        assert nll_loss(w, 0.0, data, l2=0.5) == pytest.approx(base + 0.25 * 4.0)
-
     def test_loss_is_finite_at_huge_margins(self):
         data = TrainData(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
         assert math.isfinite(nll_loss(np.array([5000.0]), 0.0, data))
         assert math.isfinite(nll_loss(np.array([-5000.0]), 0.0, data))
 
 
-def finite_difference(w, b, data, l2, h=1e-5):
+def finite_difference(w, b, data, h=1e-5):
     """Central differences of nll_loss in every coordinate."""
     grad_w = np.zeros_like(w)
     for i in range(len(w)):
         up, down = w.copy(), w.copy()
         up[i] += h
         down[i] -= h
-        grad_w[i] = (nll_loss(up, b, data, l2) - nll_loss(down, b, data, l2)) / (2 * h)
-    grad_b = (nll_loss(w, b + h, data, l2) - nll_loss(w, b - h, data, l2)) / (2 * h)
+        grad_w[i] = (nll_loss(up, b, data) - nll_loss(down, b, data)) / (2 * h)
+    grad_b = (nll_loss(w, b + h, data) - nll_loss(w, b - h, data)) / (2 * h)
     return grad_w, grad_b
 
 
@@ -130,9 +123,8 @@ class TestGradient:
             )
             w = rng.normal(size=k)
             b = float(rng.normal())
-            l2 = float(rng.choice([0.0, 0.1]))
-            grad_w, grad_b = gradient(w, b, data, l2)
-            fd_w, fd_b = finite_difference(w, b, data, l2)
+            grad_w, grad_b = gradient(w, b, data)
+            fd_w, fd_b = finite_difference(w, b, data)
             np.testing.assert_allclose(grad_w, fd_w, rtol=1e-5, atol=1e-8)
             assert grad_b == pytest.approx(fd_b, rel=1e-5, abs=1e-8)
 
@@ -147,15 +139,14 @@ class TestGradient:
             )
             w = rng.normal(size=k)
             b = float(rng.normal())
-            l2 = float(rng.choice([0.0, 0.1]))
             fd = np.zeros((k + 1, k + 1))
             for i in range(k + 1):
                 step = np.zeros(k + 1)
                 step[i] = h
-                up = np.append(*gradient(w + step[:k], b + step[k], data, l2))
-                down = np.append(*gradient(w - step[:k], b - step[k], data, l2))
+                up = np.append(*gradient(w + step[:k], b + step[k], data))
+                down = np.append(*gradient(w - step[:k], b - step[k], data))
                 fd[:, i] = (up - down) / (2 * h)
-            np.testing.assert_allclose(hessian(w, b, data, l2), fd, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(hessian(w, b, data), fd, rtol=1e-5, atol=1e-8)
 
     def test_bias_gradient_at_origin(self):
         # residual at zero parameters is (0.5 - y)
@@ -165,16 +156,6 @@ class TestGradient:
         )
         _, grad_b = gradient(np.zeros(1), 0.0, data)
         assert grad_b == pytest.approx(0.5 - 0.75, abs=0)
-
-
-class TestTrainConfigValidation:
-    def test_bad_epochs_tol_l2(self):
-        with pytest.raises(InvalidConfig):
-            TrainConfig(max_epochs=0)
-        with pytest.raises(InvalidConfig):
-            TrainConfig(tol=-1e-9)
-        with pytest.raises(InvalidConfig):
-            TrainConfig(l2=-0.1)
 
 
 class TestPrepareTrainData:
@@ -217,22 +198,14 @@ class TestTraining:
         assert result.final_loss == history[-1]
 
     def test_separable_clusters_are_classified(self):
-        # without l2 the optimum lies at infinity; the fit must still stop
-        # at finite parameters
+        # the optimum lies at infinity; the fit must still stop at finite
+        # parameters
         x, y = two_cluster_data()
         result = train_features(x, y, (FEATURE_INLIER_COUNT,))
         assert np.all(np.isfinite(result.model.weights))
         assert math.isfinite(result.model.bias)
         preds = predict(result.model, x)
         assert np.all((preds > 0.5) == (y == 1.0))
-
-    def test_regularized_fit_converges(self):
-        # without l2 the optimum on separable data sits at infinity, so
-        # only the regularized problem is required to converge
-        x, y = two_cluster_data()
-        result = train_features(x, y, (FEATURE_INLIER_COUNT,), TrainConfig(l2=0.01))
-        assert result.converged
-        assert result.epochs_run < TrainConfig().max_epochs
 
     def test_training_is_deterministic(self):
         x, y = two_cluster_data()
@@ -247,18 +220,16 @@ class TestTraining:
         # fitting: the optimum is logit of the positive fraction
         labels = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=float)
         x = np.zeros((10, 1))
-        config = TrainConfig(max_epochs=20000, tol=1e-14)
-        result = train_features(x, labels, (FEATURE_INLIER_COUNT,), config)
+        result = train_features(x, labels, (FEATURE_INLIER_COUNT,))
         assert result.model.bias == pytest.approx(-0.8472978603872036, abs=1e-3)
 
-    @pytest.mark.parametrize("l2", [0.0, 0.01])
-    def test_gradient_vanishes_at_the_fit(self, l2):
+    def test_gradient_vanishes_at_the_fit(self):
         records = build_extended(synth_generate(SynthConfig(queries=20), 3))
         labels = labels_only(label_records(records, ErrorThreshold(1.0, 10.0)))
         x = feature_matrix(records, DEFAULT_FEATURE_SET)
-        result = train_features(x, labels, DEFAULT_FEATURE_SET, TrainConfig(l2=l2))
+        result = train_features(x, labels, DEFAULT_FEATURE_SET)
         data, _ = prepare_train_data(x, labels)
-        grad_w, grad_b = gradient(result.model.weights, result.model.bias, data, l2)
+        grad_w, grad_b = gradient(result.model.weights, result.model.bias, data)
         assert result.converged
         assert max(np.max(np.abs(grad_w)), abs(grad_b)) < 1e-6
 
@@ -271,42 +242,39 @@ class TestTraining:
         assert abs(result.model.bias - math.log(3 / 7)) < 1e-9
         assert result.epochs_run <= 20
 
-    def test_iteration_cap_is_respected(self):
+    def test_iteration_cap_is_respected(self, monkeypatch):
+        monkeypatch.setattr(confidence_model, "_MAX_ITERATIONS", 1)
         x, y = two_cluster_data()
-        result = train_features(x, y, (FEATURE_INLIER_COUNT,), TrainConfig(max_epochs=1))
-        assert result.epochs_run <= 1
+        result = train_features(x, y, (FEATURE_INLIER_COUNT,))
+        assert result.epochs_run == 1
+        assert not result.converged
 
     def test_non_descent_step_falls_back_to_the_gradient(self, monkeypatch):
-        # a negated Hessian turns every Newton step uphill
+        # a negated Hessian turns every Newton step uphill; flipped labels
+        # give the clusters a finite optimum that gradient steps can reach
         x, y = two_cluster_data()
-        config = TrainConfig(l2=0.01)
-        newton = train_features(x, y, (FEATURE_INLIER_COUNT,), config)
+        y[[0, 1, 30, 31]] = 1.0 - y[[0, 1, 30, 31]]
+        newton = train_features(x, y, (FEATURE_INLIER_COUNT,))
         exact = confidence_model.hessian
         monkeypatch.setattr(confidence_model, "hessian", lambda *args: -exact(*args))
-        fallback = train_features(x, y, (FEATURE_INLIER_COUNT,), config)
+        fallback = train_features(x, y, (FEATURE_INLIER_COUNT,))
         assert fallback.converged
         assert np.all(np.diff(fallback.loss_history) <= 0.0)
         assert fallback.final_loss == pytest.approx(newton.final_loss, abs=1e-6)
 
     def test_metadata_records_the_run(self):
         x, y = two_cluster_data()
-        result = train_features(x, y, (FEATURE_INLIER_COUNT,), TrainConfig(l2=0.01))
+        result = train_features(x, y, (FEATURE_INLIER_COUNT,))
         meta = result.model.training_meta
         assert meta["n_train"] == 60
         assert meta["n_positive"] == 30
         assert meta["epochs_run"] == result.epochs_run
         assert meta["converged"] == result.converged
-        assert meta["config"] == {"max_epochs": 5000, "tol": 1e-8, "l2": 0.01}
+        assert "config" not in meta
         assert set(meta["coverage_params"]) == {
             "neighborhood_fraction",
             "min_half_extent",
         }
-
-    def test_l2_shrinks_weights(self):
-        x, y = two_cluster_data()
-        free = train_features(x, y, (FEATURE_INLIER_COUNT,))
-        ridge = train_features(x, y, (FEATURE_INLIER_COUNT,), TrainConfig(l2=1.0))
-        assert abs(ridge.model.weights[0]) < abs(free.model.weights[0])
 
     def test_record_level_train_matches_feature_level(self):
         records = []
@@ -485,9 +453,12 @@ class TestSerialization:
             from_json_dict(doc)
 
     def test_config_keys_of_older_models_still_load(self):
-        # models written before the fit lost its seed, init and balance knobs
+        # models written while the fit still had settings carry them here
         doc = to_json_dict(self.make_trained())
-        doc["training_meta"]["config"].update(seed=0, balance_classes=False, init="zero")
+        doc["training_meta"]["config"] = {
+            "max_epochs": 5000, "tol": 1e-8, "l2": 0.0,
+            "seed": 0, "balance_classes": False, "init": "zero",
+        }
         assert from_json_dict(doc).training_meta["config"]["init"] == "zero"
 
     def test_number_beyond_float_range_rejected(self):

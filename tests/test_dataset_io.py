@@ -186,6 +186,13 @@ class TestParseStream:
         with pytest.raises(SchemaError, match="line 2"):
             parse_records(lines)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_token_in_an_unknown_key_is_refused(self, token):
+        line = json.dumps(record_obj())[:-1] + f', "note": {token}}}'
+        with pytest.raises(SchemaError, match="line 2") as info:
+            parse_records([json.dumps(record_obj()), line])
+        assert token in str(info.value)
+
 
 def loop_point_list(value, field: str, line: int) -> np.ndarray:
     """The per-entry parse of an inlier list, the reference for `_as_point_list`."""

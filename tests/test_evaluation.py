@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import make_record, pose_at
 from poseconf.confidence_model import ConfidenceModel, score_records
 from poseconf.errors import (
-    DegenerateCurve,
     EmptyCandidates,
     EmptyDataset,
     InvariantViolation,
@@ -17,18 +16,13 @@ from poseconf.errors import (
 )
 from poseconf.evaluation import (
     PRCurve,
-    ScoredLabel,
     accuracy_at,
-    auc,
     ablation,
-    pr_curve,
     pr_curve_from_scores,
-    rerank,
     select_best,
     select_max_inliers,
     select_per_query,
     sweep_scores,
-    threshold_sweep,
 )
 from poseconf.features import identity_standardizer
 from poseconf.pose_metrics import ErrorThreshold
@@ -150,27 +144,6 @@ class TestPRCurveValidation:
         with pytest.raises(InvariantViolation):
             PRCurve(((0.0, 1.0), (1.0, 1.0)), 0.123)  # area inconsistent
 
-    def test_auc_helper(self):
-        curve = pr_curve_from_scores([4, 3, 2, 1], [1, 0, 1, 0])
-        assert auc(curve) == pytest.approx(curve.auc, abs=1e-15)
-        with pytest.raises(DegenerateCurve):
-            auc(PRCurve(((0.0, 1.0),), 0.0))
-
-    def test_scored_label_validation(self):
-        with pytest.raises(InvariantViolation):
-            ScoredLabel(float("inf"), 1)
-        with pytest.raises(InvariantViolation):
-            ScoredLabel(0.5, 2)
-        with pytest.raises(InvariantViolation):
-            ScoredLabel(0.5, 1, candidate_rank=0)
-
-    def test_pr_curve_over_items_matches_arrays(self):
-        items = [
-            ScoredLabel(0.9, 1, "qa", 1),
-            ScoredLabel(0.4, 0, "qa", 2),
-            ScoredLabel(0.7, 1, "qb", 1),
-        ]
-        assert pr_curve(items) == pr_curve_from_scores([0.9, 0.4, 0.7], [1, 0, 1])
 
 
 @settings(max_examples=80, deadline=None)
@@ -257,7 +230,7 @@ class TestSelection:
             0.0,
             identity_standardizer(2),
         )
-        assert rerank(cands, model) == 1
+        assert select_best(cands, score_records(model, cands)) == 1
 
 
 class TestAccuracyAt:
@@ -352,10 +325,11 @@ class TestAblation:
 
 
 class TestThresholdSweep:
-    def make_model(self):
-        return ConfidenceModel(
+    def model_scores(self, records):
+        model = ConfidenceModel(
             ("inlier_count",), np.array([0.01]), 0.0, identity_standardizer(1)
         )
+        return score_records(model, records)
 
     def make_records(self):
         # translation errors 0, 0, 1.5, 3.0 with matching inlier counts
@@ -383,7 +357,7 @@ class TestThresholdSweep:
             ErrorThreshold(2.0, 10.0),
             ErrorThreshold(5.0, 10.0),
         ]
-        rows = threshold_sweep(records, self.make_model(), thresholds)
+        rows = sweep_scores(records, self.model_scores(records), thresholds)
         assert [row.n_positive for row in rows] == [2, 3, 4]
         assert rows[0].n_records == 4
         assert not rows[0].degenerate and not rows[1].degenerate
@@ -393,29 +367,25 @@ class TestThresholdSweep:
 
     def test_identical_labelings_give_identical_rows(self):
         records = self.make_records()
-        rows = threshold_sweep(
+        rows = sweep_scores(
             records,
-            self.make_model(),
+            self.model_scores(records),
             [ErrorThreshold(0.25, 10.0), ErrorThreshold(0.5, 10.0)],
         )
         assert rows[0].model_auc == rows[1].model_auc
         assert rows[0].inliers_auc == rows[1].inliers_auc
 
-    def test_sweep_of_the_model_scores_matches_the_model_sweep(self):
+    def test_reversed_scores_lower_the_model_auc(self):
         records = self.make_records()
-        model = self.make_model()
-        thresholds = [ErrorThreshold(0.5, 10.0), ErrorThreshold(5.0, 10.0)]
-        scores = score_records(model, records)
-        assert sweep_scores(records, scores, thresholds) == threshold_sweep(
-            records, model, thresholds
-        )
+        scores = self.model_scores(records)
         # reversed scores rank the two correct records last
-        reversed_rows = sweep_scores(records, [-s for s in scores], thresholds[:1])
-        assert reversed_rows[0].model_auc < 1.0
+        rows = sweep_scores(records, [-s for s in scores], [ErrorThreshold(0.5, 10.0)])
+        assert rows[0].model_auc < 1.0
+        assert rows[0].inliers_auc == 1.0
 
     def test_perfect_ranking_scores_unit_auc(self):
         records = self.make_records()
-        rows = threshold_sweep(records, self.make_model(), [ErrorThreshold(1.0, 10.0)])
+        rows = sweep_scores(records, self.model_scores(records), [ErrorThreshold(1.0, 10.0)])
         # counts rank the two correct records first: AUC 1 for both scorers
         assert rows[0].model_auc == 1.0
         assert rows[0].inliers_auc == 1.0
