@@ -29,7 +29,6 @@ from .dataset_io import (
     label_records,
     labels_only,
     read_records,
-    serialize_record,
     synth_generate,
     write_records,
 )
@@ -49,6 +48,7 @@ from .pose_metrics import ErrorThreshold
 
 # Bound but not called: the benchmark tracer (perfbench/trace.py) wraps these here.
 from .confidence_model import predict_record  # noqa: F401
+from .dataset_io import serialize_record  # noqa: F401
 from .evaluation import select_best  # noqa: F401
 
 
@@ -291,7 +291,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             writer = csv.writer(fh)
             writer.writerow(["features", "auc"])
             for subset, value in ablation_rows:
-                writer.writerow(["+".join(subset), repr(value)])
+                writer.writerow(["+".join(subset), "" if value is None else repr(value)])
         outputs.append(ablation_csv)
 
     report = {
@@ -371,10 +371,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     selections_path = os.path.join(args.out_dir, "selections.jsonl")
-    with atomic_open(selections_path, "w", encoding="utf-8") as fh:
-        for i in picks:
-            obj = serialize_record(records[i], {"confidence": scores[i]})
-            fh.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
+    write_records(model_selected, selections_path, [{"confidence": scores[i]} for i in picks])
 
     accuracy_csv = os.path.join(args.out_dir, "accuracy.csv")
     with atomic_open(accuracy_csv, "w", newline="", encoding="utf-8") as fh:

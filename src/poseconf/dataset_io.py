@@ -316,12 +316,12 @@ def read_records(path: str | os.PathLike) -> list[PoseRecord]:
             raise SchemaError(message=f"not UTF-8 text: {exc.reason}") from None
 
 
-def serialize_record(record: PoseRecord, extra: Mapping | None = None) -> dict:
-    """Record as a JSON-ready dict; optional fields omitted when absent.
+_INLIER_KEYS = ("query_inliers", "db_inliers")  # also the PoseRecord attribute names
 
-    `extra` appends augmentation fields (e.g. a confidence score) after the
-    schema fields.
-    """
+
+def _record_fields(record: PoseRecord, extra: Mapping | None) -> dict:
+    """The fields of `serialize_record`, in order, with the inlier values
+    still the record's (n, 2) int64 arrays."""
     obj = {
         "query_id": record.query_id,
         "candidate_rank": record.candidate_rank,
@@ -329,21 +329,65 @@ def serialize_record(record: PoseRecord, extra: Mapping | None = None) -> dict:
         "query_height": record.query_dims.height,
         "db_width": record.db_dims.width,
         "db_height": record.db_dims.height,
-        "query_inliers": record.query_inliers.points.tolist(),
-        "db_inliers": record.db_inliers.points.tolist(),
+        "query_inliers": record.query_inliers.points,
+        "db_inliers": record.db_inliers.points,
         "num_correspondences": record.num_correspondences,
-        "rotation": [float(v) for v in record.estimated_pose.rotation.reshape(-1)],
-        "translation": [float(v) for v in record.estimated_pose.translation],
+        "rotation": record.estimated_pose.rotation.reshape(-1).tolist(),
+        "translation": record.estimated_pose.translation.tolist(),
     }
     gt = record.ground_truth_pose
     if gt is not None:
-        obj["gt_rotation"] = [float(v) for v in gt.rotation.reshape(-1)]
-        obj["gt_translation"] = [float(v) for v in gt.translation]
+        obj["gt_rotation"] = gt.rotation.reshape(-1).tolist()
+        obj["gt_translation"] = gt.translation.tolist()
     if record.pv_score is not None:
         obj["pv_score"] = record.pv_score
     if extra:
         obj.update(extra)
     return obj
+
+
+def _is_own_inliers(record: PoseRecord, key: str, value) -> bool:
+    # an extra field may have replaced the array under its key
+    return key in _INLIER_KEYS and value is getattr(record, key).points
+
+
+def serialize_record(record: PoseRecord, extra: Mapping | None = None) -> dict:
+    """Record as a JSON-ready dict; optional fields omitted when absent.
+
+    `extra` appends augmentation fields (e.g. a confidence score) after the
+    schema fields; one that names a schema field replaces it in place.
+    """
+    obj = _record_fields(record, extra)
+    for key in _INLIER_KEYS:
+        if _is_own_inliers(record, key, obj[key]):
+            obj[key] = obj[key].tolist()
+    return obj
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def _points_json(points: np.ndarray) -> str:
+    # json writes an int with int.__repr__, which is what %d gives
+    return ("[" + ",".join(["[%d,%d]"] * len(points)) + "]") % tuple(points.ravel().tolist())
+
+
+def _record_json(record: PoseRecord, extra: Mapping | None) -> str:
+    """The compact JSON of `serialize_record(record, extra)`, byte for byte,
+    with each inlier array formatted in one step instead of as n lists."""
+    parts = []
+    run: dict = {}  # consecutive fields json encodes as one object
+    for key, value in _record_fields(record, extra).items():
+        if _is_own_inliers(record, key, value):
+            if run:
+                parts.append(_ENCODER.encode(run)[1:-1])
+                run = {}
+            parts.append(f'"{key}":{_points_json(value)}')
+        else:
+            run[key] = value
+    if run:
+        parts.append(_ENCODER.encode(run)[1:-1])
+    return "{" + ",".join(parts) + "}"
 
 
 def record_lines(
@@ -356,9 +400,7 @@ def record_lines(
         if record.source is not None and not extra:
             yield record.source
         else:
-            yield json.dumps(
-                serialize_record(record, extra), separators=(",", ":"), allow_nan=False
-            )
+            yield _record_json(record, extra)
 
 
 def write_records(

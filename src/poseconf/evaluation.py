@@ -175,23 +175,30 @@ def ablation(
     test_labels,
     feature_sets: Sequence[Sequence[str]],
     params: CoverageParams = CoverageParams(),
-) -> list[tuple[tuple[str, ...], float]]:
+) -> list[tuple[tuple[str, ...], float | None]]:
     """Test AUC per feature subset, each trained on the same split.
 
     The inliers-only baseline row is appended when the request left it
     out, so the table always anchors against raw-count ranking.  Feature
     columns are assembled once over the union of subsets and sliced per
-    row — coverage maps are not recomputed per subset.
+    row — coverage maps are not recomputed per subset.  A single-class
+    test labeling gives every row an absent AUC, as in `sweep_scores`,
+    and fits nothing.
     """
     subsets = [parse_feature_set(s) for s in feature_sets]
     if (FEATURE_INLIER_COUNT,) not in subsets:
         subsets.append((FEATURE_INLIER_COUNT,))
+    test_labels = np.asarray(test_labels, dtype=np.float64).reshape(-1)
+    if len(test_labels) != len(test_records):
+        raise InvariantViolation(f"{len(test_records)} test records but {len(test_labels)} labels")
+    n_pos = int(test_labels.sum())
+    if n_pos == 0 or n_pos == len(test_labels):
+        return [(subset, None) for subset in subsets]
     requested = {name for subset in subsets for name in subset}
     union = tuple(name for name in KNOWN_FEATURES if name in requested)
     column = {name: i for i, name in enumerate(union)}
     x_train = feature_matrix(train_records, union, params)
     x_test = feature_matrix(test_records, union, params)
-    test_labels = np.asarray(test_labels, dtype=np.float64).reshape(-1)
 
     rows = []
     for subset in subsets:

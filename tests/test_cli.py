@@ -5,6 +5,7 @@ exercised the same way the console script runs them.
 """
 
 import csv
+import hashlib
 import json
 from collections import Counter
 
@@ -91,6 +92,16 @@ class TestSynth:
         assert main(base + ["--out", str(a)]) == 0
         assert main(base + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_seed_42_bytes_are_pinned(self, tmp_path):
+        # the canonical record encoding must not drift: any change to the
+        # generator or the writer shows here
+        out = tmp_path / "golden.jsonl"
+        assert main(["synth", "--queries", "4", "--candidates", "3", "--seed", "42",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "41e3ece0bf750da9e0a407d04e2a15c18f5be3d4a24621c333b7afeb6462d7df"
+        )
 
     def test_manifest_written_next_to_output(self, tmp_path):
         out = tmp_path / "data.jsonl"
@@ -430,10 +441,11 @@ class TestEval:
             else:
                 assert "build_extended" not in manifest
 
-    def test_single_class_labeling_degrades_gracefully(self, tmp_path, capsys):
-        # every record far from ground truth: no positives at 1 m
+    def single_class_inputs(self, tmp_path):
+        """A record file with no positive at 1 m, and an inliers-only model."""
         from conftest import pose_at
 
+        # every record far from ground truth: no positives at 1 m
         records = [
             make_record(
                 f"q{i}",
@@ -453,6 +465,10 @@ class TestEval:
             "standardizer": {"means": [0.0], "stds": [1.0]},
             "training_meta": {},
         }))
+        return data, model_path
+
+    def test_single_class_labeling_degrades_gracefully(self, tmp_path, capsys):
+        data, model_path = self.single_class_inputs(tmp_path)
         out_dir = tmp_path / "eval"
         code = main(["eval", "--data", str(data), "--model", str(model_path),
                      "--out-dir", str(out_dir)])
@@ -462,6 +478,21 @@ class TestEval:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["degenerate"] is True
         assert report["model_auc"] is None
+
+    def test_single_class_ablation_rows_are_degenerate(self, workspace, tmp_path, capsys):
+        # the training split has both labels; only the test labeling is single-class
+        data, model_path = self.single_class_inputs(tmp_path)
+        out_dir = tmp_path / "eval"
+        code = main(["eval", "--data", str(data), "--model", str(model_path),
+                     "--out-dir", str(out_dir), "--ablate", "--train-data", str(workspace["train"])])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "single-class" in err[0]
+        # written as thresholds.csv writes its degenerate rows: no AUC
+        assert (out_dir / "ablation.csv").read_text().splitlines() == ["features,auc", "inlier_count,"]
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["degenerate"] is True
+        assert report["ablation"] == [{"features": ["inlier_count"], "auc": None}]
 
     def test_garbled_thresholds_are_a_config_error(self, workspace, tmp_path):
         code = main(["eval", "--data", str(workspace["test"]),
@@ -551,6 +582,21 @@ class TestRerank:
             doc = json.loads(line)
             # == on floats: the two files must agree bit for bit
             assert doc["confidence"] == confidence[(doc["query_id"], doc["candidate_rank"])]
+
+    def test_selection_lines_are_canonical_with_confidence_last(self, workspace, tmp_path):
+        out_dir = tmp_path / "rerank"
+        assert main(["rerank", "--data", str(workspace["test"]),
+                     "--model", str(workspace["model"]), "--out-dir", str(out_dir)]) == 0
+        records = {(r.query_id, r.candidate_rank): r for r in read_records(workspace["test"])}
+        selections = (out_dir / "selections.jsonl").read_text().splitlines()
+        assert selections
+        for line in selections:
+            doc = json.loads(line)
+            expected = serialize_record(
+                records[(doc["query_id"], doc["candidate_rank"])],
+                {"confidence": doc["confidence"]},
+            )
+            assert line == json.dumps(expected, separators=(",", ":"), allow_nan=False)
 
     def test_single_candidate_queries_select_that_candidate(self, workspace, tmp_path):
         from conftest import pose_at

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, pose_at, rotation_about
-from poseconf.coverage import ImageDims, InlierSet
+from poseconf.coverage import INT64_MAX, ImageDims, InlierSet
 from poseconf.dataset_io import (
     MIN_CORRESPONDENCES,
     PoseRecord,
@@ -371,8 +371,9 @@ class TestSourcePassThrough:
         ' "db_inliers": [[5, 5], [12, 9], [25, 20]], "num_correspondences": 8 }'
     )
 
-    def canonical(self, record, extra=None):
-        return json.dumps(serialize_record(record, extra), separators=(",", ":"))
+    @staticmethod
+    def canonical(record, extra=None):
+        return json.dumps(serialize_record(record, extra), separators=(",", ":"), allow_nan=False)
 
     def test_parsed_record_keeps_its_line(self):
         (record,) = parse_records([" \t" + self.LINE + " \r\n"])
@@ -401,6 +402,65 @@ class TestSourcePassThrough:
         records = synth_generate(SynthConfig(queries=2, candidates_per_query=2), seed=4)
         assert all(r.source is None for r in records)
         assert list(record_lines(records)) == [self.canonical(r) for r in records]
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def inlier_sets(draw, n):
+    """n inliers anywhere on an image up to 2**62 pixels wide, the far edge
+    (beyond float precision on the widest images) included."""
+    width = draw(st.integers(1, 2**62) | st.just(2**62))
+    dims = ImageDims(width, draw(st.integers(1, min(2**62, INT64_MAX // width))))
+
+    def coordinate(size):
+        return st.integers(0, size - 1) | st.just(size - 1)
+
+    points = draw(
+        st.lists(
+            st.tuples(coordinate(dims.width), coordinate(dims.height)), min_size=n, max_size=n
+        )
+    )
+    return InlierSet(np.asarray(points, dtype=np.int64).reshape(-1, 2), dims)
+
+
+@st.composite
+def built_records(draw):
+    n = draw(st.integers(0, 12))
+    poses = st.builds(
+        pose_at,
+        st.tuples(*[st.floats(-1e300, 1e300)] * 3),  # a camera center; -R c stays finite
+        st.builds(rotation_about, st.sampled_from([(1, 0, 0), (1, 2, 3)]), st.floats(-180, 180)),
+    )
+    return PoseRecord(
+        query_id=draw(st.text(max_size=8)),
+        candidate_rank=draw(st.integers(1, 2**70)),
+        query_inliers=draw(inlier_sets(n)),
+        db_inliers=draw(inlier_sets(n)),
+        num_correspondences=n + draw(st.integers(0, 5)),
+        estimated_pose=draw(poses),
+        ground_truth_pose=draw(st.none() | poses),
+        pv_score=draw(st.none() | finite_floats),
+    )
+
+
+json_values = st.none() | st.booleans() | st.integers() | finite_floats | st.text(max_size=8)
+record_extras = st.none() | st.dictionaries(
+    st.sampled_from(["confidence", "note", "query_id", "pv_score", "db_inliers"]),
+    json_values,
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=built_records(), extra=record_extras)
+def test_record_lines_match_the_reference_encoding(record, extra):
+    (line,) = record_lines([record], [extra])
+    assert line == TestSourcePassThrough.canonical(record, extra)
+    # an extra naming a schema field replaces it in place; the others go last
+    schema = list(serialize_record(record))
+    assert list(json.loads(line)) == schema + [k for k in extra or {} if k not in schema]
 
 
 class TestPoseRecordValidation:

@@ -315,6 +315,17 @@ class TestAblation:
         assert len(rows) == 2  # baseline already present, nothing appended
         assert rows[0][1] == rows[1][1]
 
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_test_labels_give_degenerate_rows(self, label):
+        train_recs, train_labels = signal_records(24, 7)
+        test_recs, _ = signal_records(12, 8)
+        rows = ablation(
+            train_recs, train_labels, test_recs, [label] * len(test_recs), [("inlier_count",)]
+        )
+        assert rows == [(("inlier_count",), None)]
+        with pytest.raises(InvariantViolation):
+            ablation(train_recs, train_labels, test_recs, [label], [("inlier_count",)])
+
     def test_cli_aliases_accepted(self):
         train_recs, train_labels = signal_records(24, 5)
         test_recs, test_labels = signal_records(12, 6)
