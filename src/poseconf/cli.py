@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .confidence_model import load_model, save_model, score_records, train
+from .confidence_model import load_model, predict, save_model, score_records, train
 from .dataset_io import (
     SplitSpec,
     SynthConfig,
@@ -32,7 +32,7 @@ from .dataset_io import (
     synth_generate,
     write_records,
 )
-from .errors import InvalidConfig, PoseconfError
+from .errors import InvalidConfig, InvariantViolation, PoseconfError
 from .evaluation import (
     ablation,
     accuracy_at,
@@ -41,7 +41,7 @@ from .evaluation import (
     select_per_query,
     sweep_scores,
 )
-from .features import parse_feature_set
+from .features import FEATURE_INLIER_COUNT, feature_matrix, parse_feature_set
 from .fileio import atomic_open
 from .plots import line_plot_svg, write_svg
 from .pose_metrics import ErrorThreshold
@@ -78,6 +78,14 @@ def _write_manifest(
         fh.write("\n")
 
 
+def _threshold(meters: float, degrees: float) -> ErrorThreshold:
+    """A threshold from flag values; one out of range is a usage error."""
+    try:
+        return ErrorThreshold(meters, degrees)
+    except InvariantViolation as exc:
+        raise InvalidConfig(exc.description) from None
+
+
 def _parse_threshold_list(text: str) -> list[ErrorThreshold]:
     """Parse '1.5,10;1.0,10' into thresholds (meters, degrees per entry)."""
     thresholds = []
@@ -91,9 +99,10 @@ def _parse_threshold_list(text: str) -> list[ErrorThreshold]:
                 f"threshold entry {chunk!r} is not 'meters,degrees'"
             )
         try:
-            thresholds.append(ErrorThreshold(float(parts[0]), float(parts[1])))
+            meters, degrees = float(parts[0]), float(parts[1])
         except ValueError:
             raise InvalidConfig(f"threshold entry {chunk!r} is not numeric") from None
+        thresholds.append(_threshold(meters, degrees))
     if not thresholds:
         raise InvalidConfig("no thresholds given")
     return thresholds
@@ -133,7 +142,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    threshold = ErrorThreshold(args.threshold_m, args.threshold_deg)
+    threshold = _threshold(args.threshold_m, args.threshold_deg)
     feature_set = parse_feature_set(args.features)
     loaded = read_records(args.data)
     records = build_extended(loaded)
@@ -207,11 +216,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     records = read_records(args.data)
     n_queries = len(group_by_query(records))
 
-    scores = score_records(model, records)
+    params = model.coverage_params()
+    x_test = feature_matrix(records, model.feature_set, params)  # what score_records builds
+    scores = predict(model, x_test)
     if args.best_only:
         picks = select_per_query(records, scores)
         records = [records[i] for i in picks]
         scores = scores[picks]
+        x_test = x_test[picks]
     rows = sweep_scores(records, scores, thresholds)
     primary = rows[0]
     primary_labels = labels_only(label_records(records, thresholds[0]))
@@ -225,14 +237,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "build_extended": {"n_in": len(loaded), "n_dropped": len(loaded) - len(train_records)}
         }
         train_labels = labels_only(label_records(train_records, thresholds[0]))
-        subsets = _leave_one_out_subsets(model.feature_set)
+        test_columns = model.feature_set
+        if FEATURE_INLIER_COUNT not in test_columns:  # the baseline row needs it
+            test_columns += (FEATURE_INLIER_COUNT,)
+            x_test = np.column_stack([x_test, [float(r.inlier_count) for r in records]])
         ablation_rows = ablation(
             train_records,
             train_labels,
-            records,
+            x_test,
+            test_columns,
             primary_labels,
-            subsets,
-            params=model.coverage_params(),
+            _leave_one_out_subsets(model.feature_set),
+            params=params,
         )
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -349,8 +365,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     records = read_records(args.data)
     thresholds = [
-        ErrorThreshold(meters, args.threshold_deg)
-        for meters in _parse_float_list(args.thresholds_m)
+        _threshold(meters, args.threshold_deg) for meters in _parse_float_list(args.thresholds_m)
     ]
 
     scores = score_records(model, records).tolist()

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     EmptyDataset,
     InvalidConfig,
+    InvariantViolation,
     SchemaError,
     SingleClassData,
 )
@@ -134,13 +135,19 @@ class ConfidenceModel:
 
 def predict(model: ConfidenceModel, features) -> np.ndarray | float:
     """Confidence in (0, 1) for raw (unstandardized) feature vector(s)."""
-    z = apply_standardizer(model.standardizer, features)
-    return logsig(z @ model.weights + model.bias)
+    # finite model numbers can still overflow on these features
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = apply_standardizer(model.standardizer, features) @ model.weights + model.bias
+    if not np.all(np.isfinite(margin)):
+        raise InvariantViolation("model score overflows on these features")
+    return logsig(margin)
 
 
 def score_records(model: ConfidenceModel, records: Sequence["PoseRecord"]) -> np.ndarray:
     """Confidences, shape (n,), for records, using the coverage settings the
-    model was trained with.  Every command scores through this function."""
+    model was trained with.  `score` and `rerank` score through this
+    function; `eval` builds the same matrix itself to reuse it for
+    `--ablate`."""
     return predict(model, feature_matrix(records, model.feature_set, model.coverage_params()))
 
 

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -219,6 +220,18 @@ def _pose_from_lists(rotation: list[float], translation: list[float], line: int)
 
 def parse_record(obj: Mapping, line: int = 0) -> PoseRecord:
     """Build one validated record from a decoded JSON object."""
+    return _record_from(obj, line)
+
+
+def _inlier_points(obj: Mapping, field: str, line: int, points: Mapping | None) -> np.ndarray:
+    if points is not None:
+        return points[field]
+    return _as_point_list(_require(obj, field, line), field, line)
+
+
+def _record_from(obj: Mapping, line: int, points: Mapping | None = None) -> PoseRecord:
+    """`parse_record`, with the inlier arrays already converted when
+    `points` maps each inlier key to its (n, 2) int64 array."""
     if not isinstance(obj, Mapping):
         raise SchemaError(line=line, message="record must be a JSON object")
     query_id = _require(obj, "query_id", line)
@@ -255,13 +268,9 @@ def parse_record(obj: Mapping, line: int = 0) -> PoseRecord:
 
     try:
         query_inliers = InlierSet(
-            _as_point_list(_require(obj, "query_inliers", line), "query_inliers", line),
-            query_dims,
+            _inlier_points(obj, "query_inliers", line, points), query_dims
         )
-        db_inliers = InlierSet(
-            _as_point_list(_require(obj, "db_inliers", line), "db_inliers", line),
-            db_dims,
-        )
+        db_inliers = InlierSet(_inlier_points(obj, "db_inliers", line, points), db_dims)
         return PoseRecord(
             query_id=query_id,
             candidate_rank=candidate_rank,
@@ -286,23 +295,86 @@ def _refuse_constant(token: str):
 # an unknown key would be copied into a file that strict JSON cannot read
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
+_INLIER_KEYS = ("query_inliers", "db_inliers")  # also the PoseRecord attribute names
+
+# An inlier array written right after its key, compact, each coordinate a
+# non-negative integer of at most 18 digits without a leading zero: text that
+# np.fromstring reads exactly (it would take "01" and "-0", and clamp values
+# past int64 without a warning).
+_COORD = r"(?:0|[1-9][0-9]{0,17})"
+_PAIR = rf"\[{_COORD},{_COORD}\]"
+_INLIER_TEXT = {
+    key: (f'"{key}"', re.compile(rf'"{key}":(\[(?:{_PAIR}(?:,{_PAIR})*)?\])'))
+    for key in _INLIER_KEYS
+}
+_NO_BRACKETS = str.maketrans("", "", "[]")
+
+
+def _points_from_text(array: str) -> np.ndarray:
+    # "[]" becomes "", which reads as no values (blank text would read as [0])
+    return np.fromstring(array.translate(_NO_BRACKETS), dtype=np.int64, sep=",").reshape(-1, 2)
+
+
+def _decode_with_inliers(raw: str) -> tuple[dict, dict] | None:
+    """Decode a line and convert each inlier array straight from its text,
+    or return None when the line is not one this can vouch for.
+
+    Each inlier key must occur once in the text, so there is no duplicate
+    key and no namesake in another object or in a string, and the line must
+    hold no backslash, so no `\\u` escape spells a key the count misses.
+    Both arrays become the placeholder 0 for `_DECODER`, and the arrays are
+    used only if the decoded object holds that int at both keys.
+    """
+    if "\\" in raw:
+        return None
+    matches = []
+    for quoted, pattern in _INLIER_TEXT.values():
+        match = pattern.search(raw) if raw.count(quoted) == 1 else None
+        if match is None:
+            return None
+        matches.append(match)
+    first, second = sorted(matches, key=lambda m: m.start(1))
+    text = (
+        raw[: first.start(1)] + "0" + raw[first.end(1) : second.start(1)] + "0"
+        + raw[second.end(1) :]
+    )
+    try:
+        obj = _DECODER.decode(text)
+    except ValueError:
+        return None
+    if type(obj) is not dict:
+        return None
+    for key in _INLIER_KEYS:
+        value = obj.get(key)
+        if type(value) is not int or value != 0:
+            return None
+    return obj, {key: _points_from_text(m.group(1)) for key, m in zip(_INLIER_KEYS, matches)}
+
 
 def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
     """Parse newline-delimited JSON records; blank lines are skipped.
 
     Each record keeps its line, without the surrounding JSON whitespace, as
     its `source`.  Any failure carries the 1-based line number it occurred on.
+    A line whose inlier arrays are plain `[[x,y],...]` text has each array
+    converted from that text (`_decode_with_inliers`); every other line is
+    decoded whole, so its errors are those of `parse_record`.
     """
     records = []
     for line_no, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
-        try:
-            obj = _DECODER.decode(raw)
-        except ValueError as exc:  # not JSON, a NaN/Infinity token, or an integer too long
-            message = getattr(exc, "msg", exc)
-            raise SchemaError(line=line_no, message=f"invalid JSON: {message}") from None
-        record = parse_record(obj, line_no)
+        decoded = _decode_with_inliers(raw)
+        if decoded is not None:
+            obj, points = decoded
+        else:
+            points = None
+            try:
+                obj = _DECODER.decode(raw)
+            except ValueError as exc:  # not JSON, a NaN/Infinity token, or an integer too long
+                message = getattr(exc, "msg", exc)
+                raise SchemaError(line=line_no, message=f"invalid JSON: {message}") from None
+        record = _record_from(obj, line_no, points)
         object.__setattr__(record, "source", raw.strip(" \t\r\n"))
         records.append(record)
     return records
@@ -314,9 +386,6 @@ def read_records(path: str | os.PathLike) -> list[PoseRecord]:
             return parse_records(fh)
         except UnicodeDecodeError as exc:
             raise SchemaError(message=f"not UTF-8 text: {exc.reason}") from None
-
-
-_INLIER_KEYS = ("query_inliers", "db_inliers")  # also the PoseRecord attribute names
 
 
 def _record_fields(record: PoseRecord, extra: Mapping | None) -> dict:

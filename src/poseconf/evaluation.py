@@ -24,7 +24,7 @@ from .errors import (
     MissingGroundTruth,
     NoPositives,
 )
-from .features import FEATURE_INLIER_COUNT, KNOWN_FEATURES, feature_matrix, parse_feature_set
+from .features import FEATURE_INLIER_COUNT, feature_matrix, parse_feature_set
 from .pose_metrics import ErrorThreshold, is_correct, pose_error
 
 _AUC_CONSISTENCY_TOL = 1e-9
@@ -171,34 +171,41 @@ def accuracy_at(records: Sequence[PoseRecord], threshold: ErrorThreshold) -> flo
 def ablation(
     train_records: Sequence[PoseRecord],
     train_labels,
-    test_records: Sequence[PoseRecord],
+    x_test,
+    test_columns: Sequence[str],
     test_labels,
     feature_sets: Sequence[Sequence[str]],
     params: CoverageParams = CoverageParams(),
 ) -> list[tuple[tuple[str, ...], float | None]]:
     """Test AUC per feature subset, each trained on the same split.
 
-    The inliers-only baseline row is appended when the request left it
-    out, so the table always anchors against raw-count ranking.  Feature
-    columns are assembled once over the union of subsets and sliced per
-    row — coverage maps are not recomputed per subset.  A single-class
-    test labeling gives every row an absent AUC, as in `sweep_scores`,
-    and fits nothing.
+    `x_test` is the test feature matrix, one column per name in
+    `test_columns`, which must cover every requested feature and the
+    inlier count; the training records are assembled once for the same
+    columns and sliced per row.  The inliers-only baseline row is appended
+    when the request left it out, so the table always anchors against
+    raw-count ranking.  A single-class test labeling gives every row an
+    absent AUC, as in `sweep_scores`, and fits nothing.
     """
     subsets = [parse_feature_set(s) for s in feature_sets]
     if (FEATURE_INLIER_COUNT,) not in subsets:
         subsets.append((FEATURE_INLIER_COUNT,))
+    columns = parse_feature_set(test_columns)
+    column = {name: i for i, name in enumerate(columns)}
+    requested = {name for subset in subsets for name in subset}
+    if not requested <= column.keys():
+        raise InvariantViolation(f"test features {columns} lack one of {sorted(requested)}")
+    x_test = np.asarray(x_test, dtype=np.float64)
     test_labels = np.asarray(test_labels, dtype=np.float64).reshape(-1)
-    if len(test_labels) != len(test_records):
-        raise InvariantViolation(f"{len(test_records)} test records but {len(test_labels)} labels")
+    if x_test.shape != (len(test_labels), len(columns)):
+        raise InvariantViolation(
+            f"test features of shape {x_test.shape} for {len(test_labels)} labels "
+            f"and {len(columns)} columns"
+        )
     n_pos = int(test_labels.sum())
     if n_pos == 0 or n_pos == len(test_labels):
         return [(subset, None) for subset in subsets]
-    requested = {name for subset in subsets for name in subset}
-    union = tuple(name for name in KNOWN_FEATURES if name in requested)
-    column = {name: i for i, name in enumerate(union)}
-    x_train = feature_matrix(train_records, union, params)
-    x_test = feature_matrix(test_records, union, params)
+    x_train = feature_matrix(train_records, columns, params)
 
     rows = []
     for subset in subsets:

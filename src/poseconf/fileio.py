@@ -33,7 +33,10 @@ def atomic_open(path: str | os.PathLike, mode: str = "w", **kwargs) -> Iterator[
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # as above; the temporary file is removed below
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:  # an interrupt too: the temporary file must not stay behind
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)

@@ -62,7 +62,7 @@ from poseconf.evaluation import (
     select_max_inliers,
     sweep_scores,
 )
-from poseconf.features import DEFAULT_FEATURE_SET
+from poseconf.features import DEFAULT_FEATURE_SET, feature_matrix
 from poseconf.pose_metrics import ErrorThreshold
 
 
@@ -303,7 +303,8 @@ def test_criterion_07_ablation_ranks_full_model_first(bench):
     rows = ablation(
         bench["train_records"],
         bench["train_labels"],
-        bench["test_records"],
+        feature_matrix(bench["test_records"], full),
+        full,
         bench["test_labels"],
         [full] + leave_one_out,
     )

@@ -215,6 +215,19 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json"), "--features", "magic"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--threshold-m", "nan"], ["--threshold-m=-1"], ["--threshold-deg", "200"]],
+        ids=["meters-nan", "meters-negative", "degrees"],
+    )
+    def test_bad_threshold_is_a_usage_error(self, workspace, tmp_path, capsys, flag):
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(workspace["data"]), "--out", str(out)] + flag)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "InvalidConfig" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_ground_truth_is_reported(self, tmp_path, capsys):
         data = tmp_path / "nogt.jsonl"
         write_records([make_record(f"q{i}") for i in range(4)], data)
@@ -332,6 +345,30 @@ class TestScore:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "SchemaError" in err[0] and "weights" in err[0]
         assert not out.exists()
+
+    def test_overflowing_model_is_a_one_line_error(self, workspace, tmp_path, capsys):
+        doc = json.loads(workspace["model"].read_text())
+        doc["weights"][0] = 1e308  # finite, but the score overflows
+        model_path = tmp_path / "huge.json"
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "scored.jsonl"
+        code = main(["score", "--data", str(workspace["test"]),
+                     "--model", str(model_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "InvariantViolation" in err[0] and "overflow" in err[0]
+        assert not out.exists()
+
+    def test_directory_as_output_is_a_one_line_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "scored"
+        out.mkdir()
+        code = main(["score", "--data", str(workspace["test"]),
+                     "--model", str(workspace["model"]), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(f"'{out}'") and ".tmp" not in err[0]
+        assert [p.name for p in tmp_path.iterdir()] == ["scored"]
+        assert list(out.iterdir()) == []
 
     def test_empty_input_gives_empty_output(self, workspace, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -506,7 +543,7 @@ class TestEval:
         code = main(["eval", "--data", str(workspace["test"]),
                      "--model", str(workspace["model"]),
                      "--out-dir", str(out_dir), "--thresholds", "inf,10"])
-        assert code == 1
+        assert code == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not (out_dir / "report.json").exists()
 
@@ -530,6 +567,26 @@ class TestEval:
         # the selection pass's scores are reused: each record is assembled once
         assert calls and set(calls.values()) == {1}
         assert len(calls) == len(read_records(workspace["test"]))
+
+
+    def test_ablate_assembles_each_test_record_once(self, workspace, tmp_path, monkeypatch):
+        calls = Counter()
+        original = poseconf.features.assemble
+
+        def counting(record, *args):
+            calls[(record.query_id, record.candidate_rank)] += 1
+            return original(record, *args)
+
+        monkeypatch.setattr(poseconf.features, "assemble", counting)
+        code = main(["eval", "--data", str(workspace["test"]),
+                     "--model", str(workspace["model"]), "--out-dir", str(tmp_path / "eval"),
+                     "--ablate", "--train-data", str(workspace["train"])])
+        assert code == 0
+        # scoring and the ablation table share one matrix; the training
+        # records (other queries) are assembled once more for the fits
+        test_keys = {(r.query_id, r.candidate_rank) for r in read_records(workspace["test"])}
+        assert test_keys <= calls.keys()
+        assert set(calls.values()) == {1}
 
 
 class TestRerank:
@@ -633,7 +690,7 @@ class TestRerank:
         code = main(["rerank", "--data", str(workspace["test"]),
                      "--model", str(workspace["model"]),
                      "--out-dir", str(out_dir)] + flag)
-        assert code == 1
+        assert code == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out_dir.exists()
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, pose_at, rotation_about
+from poseconf import dataset_io
 from poseconf.coverage import INT64_MAX, ImageDims, InlierSet
 from poseconf.dataset_io import (
     MIN_CORRESPONDENCES,
@@ -38,6 +39,7 @@ from poseconf.errors import (
     TooFewQueries,
 )
 from poseconf.pose_metrics import ErrorThreshold
+from test_error_contract import RECORD_DOCS, mutate
 
 IDENTITY = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
@@ -461,6 +463,171 @@ def test_record_lines_match_the_reference_encoding(record, extra):
     # an extra naming a schema field replaces it in place; the others go last
     schema = list(serialize_record(record))
     assert list(json.loads(line)) == schema + [k for k in extra or {} if k not in schema]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard token {token}")
+
+
+def reference_records(lines):
+    """The whole-line reader, the reference for `parse_records`: every line
+    decoded by json, inlier arrays included, then `parse_record`."""
+    decoder = json.JSONDecoder(parse_constant=_refuse_constant)
+    records = []
+    for line_no, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        try:
+            obj = decoder.decode(raw)
+        except ValueError as exc:
+            message = getattr(exc, "msg", exc)
+            raise SchemaError(line=line_no, message=f"invalid JSON: {message}") from None
+        record = parse_record(obj, line_no)
+        object.__setattr__(record, "source", raw.strip(" \t\r\n"))
+        records.append(record)
+    return records
+
+
+def reader_outcome(read, lines):
+    try:
+        return read(lines)
+    except Exception as exc:
+        return type(exc), getattr(exc, "line", None), getattr(exc, "field", None), str(exc)
+
+
+def assert_reads_like_the_reference(lines):
+    got = reader_outcome(parse_records, lines)
+    expected = reader_outcome(reference_records, lines)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert got == expected  # every field, the inlier arrays included
+    for mine, theirs in zip(got, expected):
+        assert mine.source == theirs.source
+        for side in ("query_inliers", "db_inliers"):
+            points = getattr(mine, side).points
+            assert points.dtype == np.int64
+            assert points.shape == getattr(theirs, side).points.shape
+
+
+def compact(doc):
+    return json.dumps(doc, separators=(",", ":"))
+
+
+SYNTH_LINES = list(
+    record_lines(
+        synth_generate(SynthConfig(queries=3, candidates_per_query=3, width=64, height=48), 11)
+        + synth_generate(
+            SynthConfig(queries=2, candidates_per_query=4, junk_fraction=0.5, include_pv=True), 12
+        )
+    )
+)
+
+
+def test_synth_lines_take_the_text_conversion():
+    # the property below compares that path, so it must be the one taken
+    assert all(dataset_io._decode_with_inliers(line) is not None for line in SYNTH_LINES)
+    assert any(r.inlier_count == 0 for r in parse_records(SYNTH_LINES))  # empty arrays too
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_matches_the_whole_line_decoder(data):
+    lines = data.draw(st.lists(st.sampled_from(SYNTH_LINES), max_size=3), label="synth")
+    for _ in range(data.draw(st.integers(0, 2), label="mutated")):
+        doc = mutate(data.draw(st.sampled_from(RECORD_DOCS), label="record"), data)
+        spaced = data.draw(st.booleans(), label="spaced")
+        lines.append(json.dumps(doc) if spaced else compact(doc))
+    lines = data.draw(st.permutations(lines), label="order")
+    assert_reads_like_the_reference([line + "\n" for line in lines])
+
+
+# one-pixel-high images 2**62 wide, so 18- and 19-digit coordinates fit
+BASE = compact(
+    record_obj(
+        query_width=2**62,
+        query_height=1,
+        db_width=2**62,
+        db_height=1,
+        query_inliers=[[4, 0], [10, 0], [20, 0]],
+        db_inliers=[[5, 0], [12, 0], [25, 0]],
+    )
+)
+QUERY = '"query_inliers":[[4,0],[10,0],[20,0]]'
+
+
+def with_query(text):
+    return BASE.replace(QUERY, text)
+
+
+# (line, whether the text conversion may take it)
+READER_CASES = {
+    "base": (BASE, True),
+    "padded": (" \t" + BASE + " \r\n", True),
+    "spaces in an array": (with_query('"query_inliers":[[4, 0],[10,0],[20,0]]'), False),
+    "space after the key": (with_query('"query_inliers": [[4,0],[10,0],[20,0]]'), False),
+    "leading zero": (with_query('"query_inliers":[[04,0],[10,0],[20,0]]'), False),
+    "zero then digits": (with_query('"query_inliers":[[0,0],[10,0],[20,018]]'), False),
+    "minus zero": (with_query('"query_inliers":[[-0,0],[10,0],[20,0]]'), False),
+    "negative": (with_query('"query_inliers":[[-1,0],[10,0],[20,0]]'), False),
+    "exponent": (with_query('"query_inliers":[[1e2,0],[10,0],[20,0]]'), False),
+    "fraction": (with_query('"query_inliers":[[1.0,0],[10,0],[20,0]]'), False),
+    "18 digits": (with_query('"query_inliers":[[999999999999999999,0],[10,0],[20,0]]'), True),
+    "19 digits": (with_query('"query_inliers":[[1000000000000000000,0],[10,0],[20,0]]'), False),
+    "int64 max": (with_query('"query_inliers":[[9223372036854775807,0],[10,0],[20,0]]'), False),
+    "past int64": (with_query('"query_inliers":[[9223372036854775808,0],[10,0],[20,0]]'), False),
+    "4301 digits": (with_query('"query_inliers":[[1' + "0" * 4300 + ',0],[10,0],[20,0]]'), False),
+    "empty arrays": (
+        with_query('"query_inliers":[]').replace('"db_inliers":[[5,0],[12,0],[25,0]]', '"db_inliers":[]'),
+        True,
+    ),
+    "one empty array": (with_query('"query_inliers":[]'), True),
+    "three coordinates": (with_query('"query_inliers":[[4,4,0],[10,0],[20,0]]'), False),
+    "one coordinate": (with_query('"query_inliers":[[4],[10,0],[20,0]]'), False),
+    "flat": (with_query('"query_inliers":[4,4,10,7,20,18]'), False),
+    "empty pair": (with_query('"query_inliers":[[],[10,0],[20,0]]'), False),
+    "outside the image": (with_query('"query_inliers":[[4,0],[10,0],[20,1]]'), True),
+    "placeholder then a fraction": (with_query(QUERY + ".5"), False),
+    "placeholder then an exponent": (with_query(QUERY + "e5"), False),
+    "placeholder then a digit": (with_query(QUERY + "0"), False),
+    "duplicate key": (BASE[:-1] + ',"query_inliers":[[1,0],[2,0],[3,0]]}', False),
+    "duplicate key first": ('{"query_inliers":[[1,0],[2,0],[3,0]],' + BASE[1:], False),
+    "duplicate key holding the placeholder": (BASE[:-1] + ',"query_inliers":0}', False),
+    "nested namesake": (BASE[:-1] + ',"extra":{"query_inliers":[[1,1]]}}', False),
+    "nested only": (
+        with_query('"extra":{"query_inliers":[[4,0],[10,0],[20,0]]}'), False
+    ),
+    "key name as a string": (BASE[:-1] + ',"note":"query_inliers"}', False),
+    "key name in a string": (BASE[:-1] + r',"note":"\"query_inliers\":[[1,1]]"}', False),
+    "escaped key holding the placeholder": (
+        with_query(r'"query\u005finliers":0,"extra":{"query_inliers":[[4,0],[10,0],[20,0]]}'),
+        False,
+    ),
+    "escape elsewhere": (BASE.replace('"q0"', r'"q\u0030"'), False),
+    "placeholder value": (with_query('"query_inliers":0'), False),
+    "NaN elsewhere": (BASE[:-1] + ',"note":NaN}', False),
+    "missing field": (BASE.replace('"candidate_rank":1,', ""), True),
+    "not an object": ("[" + QUERY.split(":", 1)[1] + "]", False),
+    "trailing text": (BASE + "x", False),
+    "truncated": (BASE[:-1], False),
+}
+
+
+# the cases that hold a valid record; every other one fails
+READER_CASES_THAT_PARSE = {
+    "base", "padded", "spaces in an array", "space after the key", "minus zero",
+    "18 digits", "19 digits", "empty arrays", "duplicate key", "duplicate key first",
+    "nested namesake", "key name as a string", "key name in a string", "escape elsewhere",
+}
+
+
+@pytest.mark.parametrize("name", list(READER_CASES))
+def test_reader_fixed_cases(name):
+    line, converted = READER_CASES[name]
+    assert (dataset_io._decode_with_inliers(line) is not None) == converted
+    assert_reads_like_the_reference([BASE, line])
+    parsed = isinstance(reader_outcome(reference_records, [line]), list)
+    assert parsed == (name in READER_CASES_THAT_PARSE)
 
 
 class TestPoseRecordValidation:

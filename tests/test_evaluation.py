@@ -24,7 +24,7 @@ from poseconf.evaluation import (
     select_per_query,
     sweep_scores,
 )
-from poseconf.features import identity_standardizer
+from poseconf.features import DEFAULT_FEATURE_SET, feature_matrix, identity_standardizer
 from poseconf.pose_metrics import ErrorThreshold
 
 
@@ -283,6 +283,11 @@ def signal_records(n, seed):
     return records, labels
 
 
+def held_out_features(records):
+    """The test side of `ablation`: every default feature, in that order."""
+    return feature_matrix(records, DEFAULT_FEATURE_SET), DEFAULT_FEATURE_SET
+
+
 class TestAblation:
     def test_rows_follow_request_and_append_baseline(self):
         train_recs, train_labels = signal_records(24, 1)
@@ -290,7 +295,7 @@ class TestAblation:
         rows = ablation(
             train_recs,
             train_labels,
-            test_recs,
+            *held_out_features(test_recs),
             test_labels,
             [("inlier_count", "query_coverage"), ("query_coverage",)],
         )
@@ -308,7 +313,7 @@ class TestAblation:
         rows = ablation(
             train_recs,
             train_labels,
-            test_recs,
+            *held_out_features(test_recs),
             test_labels,
             [("inlier_count",), ("inlier_count",)],
         )
@@ -319,20 +324,34 @@ class TestAblation:
     def test_single_class_test_labels_give_degenerate_rows(self, label):
         train_recs, train_labels = signal_records(24, 7)
         test_recs, _ = signal_records(12, 8)
+        x_test, columns = held_out_features(test_recs)
         rows = ablation(
-            train_recs, train_labels, test_recs, [label] * len(test_recs), [("inlier_count",)]
+            train_recs, train_labels, x_test, columns, [label] * len(test_recs), [("inlier_count",)]
         )
         assert rows == [(("inlier_count",), None)]
         with pytest.raises(InvariantViolation):
-            ablation(train_recs, train_labels, test_recs, [label], [("inlier_count",)])
+            ablation(train_recs, train_labels, x_test, columns, [label], [("inlier_count",)])
 
     def test_cli_aliases_accepted(self):
         train_recs, train_labels = signal_records(24, 5)
         test_recs, test_labels = signal_records(12, 6)
         rows = ablation(
-            train_recs, train_labels, test_recs, test_labels, [("inliers", "qcov")]
+            train_recs, train_labels, *held_out_features(test_recs), test_labels, [("inliers", "qcov")]
         )
         assert rows[0][0] == ("inlier_count", "query_coverage")
+
+    def test_columns_are_found_by_name(self):
+        train_recs, train_labels = signal_records(24, 9)
+        test_recs, test_labels = signal_records(12, 10)
+        x_test, columns = held_out_features(test_recs)
+        subsets = [("query_coverage", "inlier_count"), ("db_coverage",)]
+        expected = ablation(train_recs, train_labels, x_test, columns, test_labels, subsets)
+        reversed_x = x_test[:, ::-1]
+        assert ablation(
+            train_recs, train_labels, reversed_x, columns[::-1], test_labels, subsets
+        ) == expected
+        with pytest.raises(InvariantViolation, match="lack"):
+            ablation(train_recs, train_labels, x_test[:, 1:], columns[1:], test_labels, subsets)
 
 
 class TestThresholdSweep:

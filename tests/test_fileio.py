@@ -29,3 +29,14 @@ def test_unwritable_target_is_named_in_the_error(tmp_path):
         with atomic_open(path, "w", encoding="utf-8"):
             pass
     assert info.value.filename == str(path)
+
+
+def test_failed_rename_names_the_target(tmp_path):
+    path = tmp_path / "scored"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
+            fh.write("line\n")
+    assert (info.value.filename, info.value.filename2) == (str(path), None)
+    assert str(info.value).endswith(f"'{path}'")
+    assert [p.name for p in tmp_path.iterdir()] == ["scored"]
