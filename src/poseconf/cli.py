@@ -27,7 +27,6 @@ from .dataset_io import (
     group_by_query,
     grouped_split,
     label_records,
-    labels_only,
     read_records,
     synth_generate,
     write_records,
@@ -42,7 +41,7 @@ from .evaluation import (
     sweep_scores,
 )
 from .features import FEATURE_INLIER_COUNT, feature_matrix, parse_feature_set
-from .fileio import atomic_open
+from .fileio import atomic_open, check_writable
 from .plots import line_plot_svg, write_svg
 from .pose_metrics import ErrorThreshold
 
@@ -76,6 +75,11 @@ def _write_manifest(
     with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _write_csv(path: str, header: Sequence[str], rows) -> None:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _threshold(meters: float, degrees: float) -> ErrorThreshold:
@@ -133,6 +137,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         junk_fraction=args.junk_fraction,
         include_pv=args.include_pv,
     )
+    check_writable(args.out, args.out + ".manifest.json")
     records = synth_generate(config, args.seed)
     write_records(records, args.out)
     _write_manifest(args.out + ".manifest.json", "synth", args, [], [args.out], started)
@@ -144,23 +149,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     threshold = _threshold(args.threshold_m, args.threshold_deg)
     feature_set = parse_feature_set(args.features)
+    spec = SplitSpec(args.split, args.seed)
+    outputs = [args.out] + [p for p in (args.test_out, args.train_out) if p]
+    check_writable(*outputs, args.out + ".manifest.json")
     loaded = read_records(args.data)
     records = build_extended(loaded)
     label_records(records, threshold)  # validate ground truth up front
-    train_records, test_records = grouped_split(
-        records, SplitSpec(args.split, args.seed)
-    )
-    labels = labels_only(label_records(train_records, threshold))
+    train_records, test_records = grouped_split(records, spec)
+    labels = label_records(train_records, threshold)
     result = train(train_records, labels, feature_set)
 
-    outputs = [args.out]
     save_model(result.model, args.out)
     if args.test_out:
         write_records(test_records, args.test_out)
-        outputs.append(args.test_out)
     if args.train_out:
         write_records(train_records, args.train_out)
-        outputs.append(args.train_out)
     facts = {
         "build_extended": {"n_in": len(loaded), "n_dropped": len(loaded) - len(records)},
         "fit": {
@@ -188,6 +191,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    check_writable(args.out, args.out + ".manifest.json")
     model = load_model(args.model)
     records = read_records(args.data)
     extras = [{"confidence": c} for c in score_records(model, records).tolist()]
@@ -226,7 +230,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         x_test = x_test[picks]
     rows = sweep_scores(records, scores, thresholds)
     primary = rows[0]
-    primary_labels = labels_only(label_records(records, thresholds[0]))
+    primary_labels = label_records(records, thresholds[0])
 
     ablation_rows = None
     facts = None
@@ -236,7 +240,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         facts = {
             "build_extended": {"n_in": len(loaded), "n_dropped": len(loaded) - len(train_records)}
         }
-        train_labels = labels_only(label_records(train_records, thresholds[0]))
+        train_labels = label_records(train_records, thresholds[0])
         test_columns = model.feature_set
         if FEATURE_INLIER_COUNT not in test_columns:  # the baseline row needs it
             test_columns += (FEATURE_INLIER_COUNT,)
@@ -264,12 +268,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         model_curve = pr_curve_from_scores(scores, primary_labels)
         inliers_curve = pr_curve_from_scores(counts, primary_labels)
         curves_csv = os.path.join(args.out_dir, "pr_curves.csv")
-        with atomic_open(curves_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["curve", "recall", "precision"])
-            for name, curve in (("model", model_curve), ("inliers", inliers_curve)):
-                for recall, precision in curve.points:
-                    writer.writerow([name, repr(recall), repr(precision)])
+        curve_rows = [
+            [name, repr(recall), repr(precision)]
+            for name, curve in (("model", model_curve), ("inliers", inliers_curve))
+            for recall, precision in curve.points
+        ]
+        _write_csv(curves_csv, ["curve", "recall", "precision"], curve_rows)
         curves_svg = os.path.join(args.out_dir, "pr_curves.svg")
         write_svg(
             line_plot_svg(
@@ -281,33 +285,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
         outputs += [curves_csv, curves_svg]
 
     thresholds_csv = os.path.join(args.out_dir, "thresholds.csv")
-    with atomic_open(thresholds_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["threshold_m", "threshold_deg", "n_records", "n_positive",
-             "model_auc", "inliers_auc", "degenerate"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(row.threshold.max_translation_m),
-                    repr(row.threshold.max_rotation_deg),
-                    row.n_records,
-                    row.n_positive,
-                    "" if row.degenerate else repr(row.model_auc),
-                    "" if row.degenerate else repr(row.inliers_auc),
-                    int(row.degenerate),
-                ]
-            )
+    threshold_rows = [
+        [
+            repr(row.threshold.max_translation_m),
+            repr(row.threshold.max_rotation_deg),
+            row.n_records,
+            row.n_positive,
+            "" if row.degenerate else repr(row.model_auc),
+            "" if row.degenerate else repr(row.inliers_auc),
+            int(row.degenerate),
+        ]
+        for row in rows
+    ]
+    _write_csv(
+        thresholds_csv,
+        ["threshold_m", "threshold_deg", "n_records", "n_positive",
+         "model_auc", "inliers_auc", "degenerate"],
+        threshold_rows,
+    )
     outputs.append(thresholds_csv)
 
     if ablation_rows is not None:
         ablation_csv = os.path.join(args.out_dir, "ablation.csv")
-        with atomic_open(ablation_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["features", "auc"])
-            for subset, value in ablation_rows:
-                writer.writerow(["+".join(subset), "" if value is None else repr(value)])
+        _write_csv(ablation_csv, ["features", "auc"], [
+            ["+".join(subset), "" if auc is None else repr(auc)] for subset, auc in ablation_rows
+        ])
         outputs.append(ablation_csv)
 
     report = {
@@ -389,11 +391,9 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     write_records(model_selected, selections_path, [{"confidence": scores[i]} for i in picks])
 
     accuracy_csv = os.path.join(args.out_dir, "accuracy.csv")
-    with atomic_open(accuracy_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold_m", "model_accuracy", "max_inliers_accuracy"])
-        for meters, ours, baseline in accuracy_rows:
-            writer.writerow([repr(meters), repr(ours), repr(baseline)])
+    _write_csv(accuracy_csv, ["threshold_m", "model_accuracy", "max_inliers_accuracy"], [
+        [repr(meters), repr(ours), repr(baseline)] for meters, ours, baseline in accuracy_rows
+    ])
     accuracy_svg = os.path.join(args.out_dir, "accuracy.svg")
     write_svg(
         line_plot_svg(
@@ -424,8 +424,15 @@ def cmd_rerank(args: argparse.Namespace) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error on one stderr line."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="poseconf",
         description="Confidence scoring and ranking evaluation for estimated camera poses.",
     )

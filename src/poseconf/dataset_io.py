@@ -117,6 +117,8 @@ class SplitSpec:
             raise InvalidConfig(
                 f"train_fraction must lie in (0, 1), got {self.train_fraction}"
             )
+        if self.seed < 0:  # random.Random would shuffle as for abs(seed)
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +386,16 @@ def read_records(path: str | os.PathLike) -> list[PoseRecord]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse_records(fh)
-        except UnicodeDecodeError as exc:
-            raise SchemaError(message=f"not UTF-8 text: {exc.reason}") from None
+        except UnicodeDecodeError as exc:  # its offset is into a buffered chunk
+            message = f"not UTF-8 text: {exc.reason}"
+    # name the line of the first bad byte; no UTF-8 sequence holds b"\n"
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise SchemaError(line=line_no, message=message) from None
+    raise SchemaError(message=message)  # the file changed since it was read
 
 
 def _record_fields(record: PoseRecord, extra: Mapping | None) -> dict:
@@ -532,19 +542,15 @@ def grouped_split(
 
 def label_records(
     records: Sequence[PoseRecord], threshold: ErrorThreshold = ErrorThreshold()
-) -> list[tuple[PoseRecord, int]]:
-    """Pair each record with 1 if its pose is correct at the threshold, else 0."""
-    labeled = []
-    for record in records:
+) -> np.ndarray:
+    """1.0 for each record whose pose is correct at the threshold, else 0.0."""
+    labels = np.zeros(len(records))
+    for i, record in enumerate(records):
         if record.ground_truth_pose is None:
             raise MissingGroundTruth(record.query_id, record.candidate_rank)
         error = pose_error(record.estimated_pose, record.ground_truth_pose)
-        labeled.append((record, int(is_correct(error, threshold))))
-    return labeled
-
-
-def labels_only(labeled: Sequence[tuple[PoseRecord, int]]) -> np.ndarray:
-    return np.asarray([label for _, label in labeled], dtype=np.float64)
+        labels[i] = is_correct(error, threshold)
+    return labels
 
 
 def group_by_query(records: Sequence[PoseRecord]) -> dict[str, list[PoseRecord]]:
@@ -559,6 +565,14 @@ def group_by_query(records: Sequence[PoseRecord]) -> dict[str, list[PoseRecord]]
 # synthetic data
 
 
+# what SynthConfig leaves fixed: the sparse and hard shares of the correct
+# candidates, the share of queries with none, and the correctness threshold
+SPARSE_CORRECT_FRACTION = 0.25
+HARD_CORRECT_FRACTION = 0.1
+FAILED_QUERY_FRACTION = 0.2
+SYNTH_THRESHOLD = ErrorThreshold()
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Generator settings for the synthetic benchmark.
@@ -568,7 +582,7 @@ class SynthConfig:
     correct despite poor coverage).  Incorrect poses are either ordinary
     low-count failures (plain) or high-count/low-coverage decoys sized by
     adversarial_fraction, which exist so inlier count alone cannot
-    separate the classes.  failed_query_fraction of the queries get no
+    separate the classes.  FAILED_QUERY_FRACTION of the queries get no
     correct candidate at all, so best-candidate evaluation sees both
     labels.  junk_fraction emits under-correspondence pairs that the
     extended-dataset filter drops.
@@ -580,12 +594,8 @@ class SynthConfig:
     height: int = 240
     correct_fraction: float = 0.45
     adversarial_fraction: float = 0.35
-    sparse_correct_fraction: float = 0.25
-    hard_correct_fraction: float = 0.1
-    failed_query_fraction: float = 0.2
     junk_fraction: float = 0.0
     include_pv: bool = False
-    threshold: ErrorThreshold = ErrorThreshold()
 
     def __post_init__(self):
         if self.queries < 0:
@@ -598,21 +608,12 @@ class SynthConfig:
             raise InvalidConfig(
                 f"image dims must be >= 16x16, got {self.width}x{self.height}"
             )
-        for name in (
-            "correct_fraction",
-            "adversarial_fraction",
-            "sparse_correct_fraction",
-            "hard_correct_fraction",
-            "failed_query_fraction",
-            "junk_fraction",
-        ):
+        if self.queries * self.candidates_per_query > INT64_MAX:  # past numpy's index range
+            raise InvalidConfig(f"queries x candidates_per_query exceeds {INT64_MAX}")
+        for name in ("correct_fraction", "adversarial_fraction", "junk_fraction"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise InvalidConfig(f"{name} must lie in [0, 1], got {value}")
-        if self.sparse_correct_fraction + self.hard_correct_fraction > 1.0:
-            raise InvalidConfig(
-                "sparse_correct_fraction + hard_correct_fraction exceeds 1"
-            )
 
 
 def _random_unit(rng: np.random.Generator, n: int = 3) -> np.ndarray:
@@ -709,13 +710,11 @@ def _make_record(
     query_id: str,
     rank: int,
     tag: str,
-    qdims: ImageDims,
-    ddims: ImageDims,
-    config: SynthConfig,
+    dims: ImageDims,
+    include_pv: bool,
 ) -> PoseRecord:
-    max_t = config.threshold.max_translation_m
-    max_r = config.threshold.max_rotation_deg
-    pv = None
+    max_t = SYNTH_THRESHOLD.max_translation_m
+    max_r = SYNTH_THRESHOLD.max_rotation_deg
 
     if tag in ("dense", "sparse", "hard"):
         quality = rng.uniform(0.2, 1.0) if tag == "dense" else rng.uniform(0.55, 1.0)
@@ -734,50 +733,44 @@ def _make_record(
             # count is the only feature that vouches for these
             count = _clip_int(rng, 650, 150, 300, 1100)
             k = int(rng.integers(1, 3))
-            q_pts = _cluster_points(rng, qdims, count, k, rng.uniform(0.02, 0.05))
-            d_pts = _cluster_points(rng, ddims, count, k, rng.uniform(0.02, 0.05))
+            q_pts = _cluster_points(rng, dims, count, k, rng.uniform(0.02, 0.05))
+            d_pts = _cluster_points(rng, dims, count, k, rng.uniform(0.02, 0.05))
         else:
             spread_d = float(np.clip(spread_q + rng.uniform(-0.12, 0.12), 0.15, 1.0))
-            q_pts = _spread_points(rng, qdims, count, spread_q)
-            d_pts = _spread_points(rng, ddims, count, spread_d)
-        if config.include_pv:
-            pv = float(np.clip(rng.normal(0.62 + 0.25 * quality, 0.10), 0.0, 1.0))
-    elif tag == "decoy":
+            q_pts = _spread_points(rng, dims, count, spread_q)
+            d_pts = _spread_points(rng, dims, count, spread_d)
+        pv_mean, pv_std = 0.62 + 0.25 * quality, 0.10
+    else:
         e_t = rng.uniform(2.05, 40.0) * max_t
         e_r = rng.uniform(1.5, 17.0) * max_r
-        count = _clip_int(rng, 900, 300, 250, 2500)
-        k = int(rng.integers(1, 4))
-        # half the decoys collapse on both images; the rest only on one
-        # side, so each coverage feature has failures only it can flag
-        sided = rng.random()
-        if sided < 0.3:
-            q_pts = _spread_points(rng, qdims, count, rng.uniform(0.25, 0.55))
-            d_pts = _cluster_points(rng, ddims, count, k, rng.uniform(0.012, 0.025))
-        elif sided < 0.6:
-            q_pts = _cluster_points(rng, qdims, count, k, rng.uniform(0.012, 0.025))
-            d_pts = _spread_points(rng, ddims, count, rng.uniform(0.25, 0.55))
-        else:
-            q_pts = _cluster_points(rng, qdims, count, k, rng.uniform(0.012, 0.025))
-            d_pts = _cluster_points(rng, ddims, count, k, rng.uniform(0.012, 0.025))
-        if config.include_pv:
-            pv = float(np.clip(rng.normal(0.45, 0.12), 0.0, 1.0))
-    elif tag == "plain":
-        e_t = rng.uniform(2.05, 40.0) * max_t
-        e_r = rng.uniform(1.5, 17.0) * max_r
-        count = _clip_int(rng, 130, 70, 3, 380)
-        k = int(rng.integers(1, 4))
-        q_pts = _cluster_points(rng, qdims, count, k, rng.uniform(0.02, 0.06))
-        d_pts = _cluster_points(rng, ddims, count, k, rng.uniform(0.02, 0.06))
-        if config.include_pv:
-            pv = float(np.clip(rng.normal(0.30, 0.12), 0.0, 1.0))
-    else:  # junk: too few correspondences to estimate anything
-        e_t = rng.uniform(2.05, 40.0) * max_t
-        e_r = rng.uniform(1.5, 17.0) * max_r
-        count = int(rng.integers(0, MIN_CORRESPONDENCES))
-        q_pts = _spread_points(rng, qdims, count, 1.0)
-        d_pts = _spread_points(rng, ddims, count, 1.0)
-        if config.include_pv:
-            pv = float(np.clip(rng.normal(0.2, 0.1), 0.0, 1.0))
+        if tag == "decoy":
+            count = _clip_int(rng, 900, 300, 250, 2500)
+            k = int(rng.integers(1, 4))
+            # half the decoys collapse on both images; the rest only on one
+            # side, so each coverage feature has failures only it can flag
+            sided = rng.random()
+            if sided < 0.3:
+                q_pts = _spread_points(rng, dims, count, rng.uniform(0.25, 0.55))
+                d_pts = _cluster_points(rng, dims, count, k, rng.uniform(0.012, 0.025))
+            elif sided < 0.6:
+                q_pts = _cluster_points(rng, dims, count, k, rng.uniform(0.012, 0.025))
+                d_pts = _spread_points(rng, dims, count, rng.uniform(0.25, 0.55))
+            else:
+                q_pts = _cluster_points(rng, dims, count, k, rng.uniform(0.012, 0.025))
+                d_pts = _cluster_points(rng, dims, count, k, rng.uniform(0.012, 0.025))
+            pv_mean, pv_std = 0.45, 0.12
+        elif tag == "plain":
+            count = _clip_int(rng, 130, 70, 3, 380)
+            k = int(rng.integers(1, 4))
+            q_pts = _cluster_points(rng, dims, count, k, rng.uniform(0.02, 0.06))
+            d_pts = _cluster_points(rng, dims, count, k, rng.uniform(0.02, 0.06))
+            pv_mean, pv_std = 0.30, 0.12
+        else:  # junk: too few correspondences to estimate anything
+            count = int(rng.integers(0, MIN_CORRESPONDENCES))
+            q_pts = _spread_points(rng, dims, count, 1.0)
+            d_pts = _spread_points(rng, dims, count, 1.0)
+            pv_mean, pv_std = 0.2, 0.1
+    pv = float(np.clip(rng.normal(pv_mean, pv_std), 0.0, 1.0)) if include_pv else None
 
     e_r = min(e_r, 179.0)
     estimated, ground_truth = _pose_pair(rng, e_t, e_r)
@@ -788,8 +781,8 @@ def _make_record(
     return PoseRecord(
         query_id=query_id,
         candidate_rank=rank,
-        query_inliers=InlierSet(q_pts, qdims),
-        db_inliers=InlierSet(d_pts, ddims),
+        query_inliers=InlierSet(q_pts, dims),
+        db_inliers=InlierSet(d_pts, dims),
         num_correspondences=num_correspondences,
         estimated_pose=estimated,
         ground_truth_pose=ground_truth,
@@ -810,15 +803,15 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> list[PoseRecord]:
     if total == 0:
         return []
     rng = np.random.default_rng(seed)
-    n_failed = int(round(config.failed_query_fraction * config.queries))
+    n_failed = int(round(FAILED_QUERY_FRACTION * config.queries))
     failed_queries = set(rng.permutation(config.queries)[:n_failed].tolist())
 
     n_normal = (config.queries - n_failed) * config.candidates_per_query
     n_junk = int(round(config.junk_fraction * n_normal))
     n_correct = int(round(config.correct_fraction * (n_normal - n_junk)))
     n_incorrect = n_normal - n_junk - n_correct
-    n_sparse = int(round(config.sparse_correct_fraction * n_correct))
-    n_hard = int(round(config.hard_correct_fraction * n_correct))
+    n_sparse = int(round(SPARSE_CORRECT_FRACTION * n_correct))
+    n_hard = int(round(HARD_CORRECT_FRACTION * n_correct))
     n_decoy = int(round(config.adversarial_fraction * n_incorrect))
     pool = (
         ["junk"] * n_junk
@@ -831,8 +824,7 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> list[PoseRecord]:
     order = rng.permutation(n_normal)
     pool = [pool[i] for i in order]
 
-    qdims = ImageDims(config.width, config.height)
-    ddims = ImageDims(config.width, config.height)
+    dims = ImageDims(config.width, config.height)  # query and database images alike
     records = []
     next_pooled = 0
     for qi in range(config.queries):
@@ -843,5 +835,5 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> list[PoseRecord]:
             else:
                 tag = pool[next_pooled]
                 next_pooled += 1
-            records.append(_make_record(rng, query_id, rank, tag, qdims, ddims, config))
+            records.append(_make_record(rng, query_id, rank, tag, dims, config.include_pv))
     return records

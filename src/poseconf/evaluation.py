@@ -16,16 +16,10 @@ import numpy as np
 
 from .confidence_model import predict, train_features
 from .coverage import CoverageParams
-from .dataset_io import PoseRecord, label_records, labels_only
-from .errors import (
-    EmptyCandidates,
-    EmptyDataset,
-    InvariantViolation,
-    MissingGroundTruth,
-    NoPositives,
-)
+from .dataset_io import PoseRecord, label_records
+from .errors import EmptyCandidates, EmptyDataset, InvariantViolation, NoPositives
 from .features import FEATURE_INLIER_COUNT, feature_matrix, parse_feature_set
-from .pose_metrics import ErrorThreshold, is_correct, pose_error
+from .pose_metrics import ErrorThreshold
 
 _AUC_CONSISTENCY_TOL = 1e-9
 
@@ -155,13 +149,7 @@ def accuracy_at(records: Sequence[PoseRecord], threshold: ErrorThreshold) -> flo
     """Fraction of selected candidates whose pose is correct at the threshold."""
     if not records:
         raise EmptyDataset("accuracy over an empty selection is undefined")
-    n_correct = 0
-    for record in records:
-        if record.ground_truth_pose is None:
-            raise MissingGroundTruth(record.query_id, record.candidate_rank)
-        error = pose_error(record.estimated_pose, record.ground_truth_pose)
-        n_correct += is_correct(error, threshold)
-    return n_correct / len(records)
+    return float(label_records(records, threshold).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +233,7 @@ def sweep_scores(
     counts = np.asarray([float(r.inlier_count) for r in records])
     rows = []
     for threshold in thresholds:
-        labels = labels_only(label_records(records, threshold))
+        labels = label_records(records, threshold)
         n_pos = int(labels.sum())
         if n_pos == 0 or n_pos == len(labels):
             rows.append(SweepRow(threshold, len(labels), n_pos, None, None))

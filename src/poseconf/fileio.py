@@ -8,6 +8,7 @@ write leaves either the previous file or none, never a truncated one.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 from typing import IO, Iterator
 
@@ -41,3 +42,14 @@ def atomic_open(path: str | os.PathLike, mode: str = "w", **kwargs) -> Iterator[
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def check_writable(*paths: str | os.PathLike) -> None:
+    """Raise an OSError for a path `atomic_open` cannot write (no directory
+    to hold it, or a directory at it), before a command writes any output."""
+    for path in map(os.fspath, paths):
+        head = os.path.dirname(path) or "."
+        if not os.path.isdir(head):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), head)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)

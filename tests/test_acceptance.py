@@ -45,7 +45,6 @@ from poseconf.dataset_io import (
     group_by_query,
     grouped_split,
     label_records,
-    labels_only,
     parse_record,
     parse_records,
     read_records,
@@ -82,8 +81,8 @@ def bench():
     records = synth_generate(SynthConfig(), seed=42)
     extended = build_extended(records)
     train_records, test_records = grouped_split(extended, SplitSpec(0.75, seed=42))
-    train_labels = labels_only(label_records(train_records))
-    test_labels = labels_only(label_records(test_records))
+    train_labels = label_records(train_records)
+    test_labels = label_records(test_records)
     model = train(train_records, train_labels).model
 
     test_scores = np.asarray([predict_record(model, r) for r in test_records])
@@ -95,7 +94,7 @@ def bench():
     picks = []
     for group in group_by_query(test_records).values():
         picks.append(group[select_best(group, score_records(model, group))])
-    pick_labels = labels_only(label_records(picks))
+    pick_labels = label_records(picks)
     pick_scores = [predict_record(model, r) for r in picks]
     pick_counts = [float(r.inlier_count) for r in picks]
     best_model_auc = pr_curve_from_scores(pick_scores, pick_labels).auc

@@ -228,6 +228,16 @@ class TestTrain:
         assert len(err) == 1 and "InvalidConfig" in err[0]
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_seed_is_a_one_line_config_error(self, workspace, tmp_path, capsys):
+        # random.Random(-1) would shuffle as random.Random(1) does
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(workspace["data"]), "--out", str(out),
+                     "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: InvalidConfig") and "seed" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_ground_truth_is_reported(self, tmp_path, capsys):
         data = tmp_path / "nogt.jsonl"
         write_records([make_record(f"q{i}") for i in range(4)], data)

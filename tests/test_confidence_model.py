@@ -34,7 +34,6 @@ from poseconf.dataset_io import (
     SynthConfig,
     build_extended,
     label_records,
-    labels_only,
     synth_generate,
 )
 from poseconf.errors import (
@@ -225,7 +224,7 @@ class TestTraining:
 
     def test_gradient_vanishes_at_the_fit(self):
         records = build_extended(synth_generate(SynthConfig(queries=20), 3))
-        labels = labels_only(label_records(records, ErrorThreshold(1.0, 10.0)))
+        labels = label_records(records, ErrorThreshold(1.0, 10.0))
         x = feature_matrix(records, DEFAULT_FEATURE_SET)
         result = train_features(x, labels, DEFAULT_FEATURE_SET)
         data, _ = prepare_train_data(x, labels)
@@ -333,7 +332,7 @@ class TestPredict:
 
     def test_score_records_is_predict_over_the_feature_matrix(self):
         records = build_extended(synth_generate(SynthConfig(queries=6, width=96, height=72), 4))
-        labels = labels_only(label_records(records, ErrorThreshold(1.0, 10.0)))
+        labels = label_records(records, ErrorThreshold(1.0, 10.0))
         params = CoverageParams(neighborhood_fraction=0.1)
         model = train(records, labels, params=params).model
         expected = predict(model, feature_matrix(records, model.feature_set, params))

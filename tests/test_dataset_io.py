@@ -13,6 +13,7 @@ from conftest import make_record, pose_at, rotation_about
 from poseconf import dataset_io
 from poseconf.coverage import INT64_MAX, ImageDims, InlierSet
 from poseconf.dataset_io import (
+    FAILED_QUERY_FRACTION,
     MIN_CORRESPONDENCES,
     PoseRecord,
     SplitSpec,
@@ -21,7 +22,6 @@ from poseconf.dataset_io import (
     group_by_query,
     grouped_split,
     label_records,
-    labels_only,
     parse_record,
     parse_records,
     read_records,
@@ -187,6 +187,18 @@ class TestParseStream:
         lines = [json.dumps(record_obj()), json.dumps(record_obj(candidate_rank=-2))]
         with pytest.raises(SchemaError, match="line 2"):
             parse_records(lines)
+
+    @pytest.mark.parametrize("pad", [0, 10_000], ids=["first-chunk", "later-chunk"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, pad):
+        lines = [json.dumps(record_obj(), separators=(",", ":")).encode() for _ in range(4)]
+        lines[0] = lines[0][:-1] + b',"note":"' + b"x" * pad + b'"}'
+        lines[2] = lines[2][:9] + b"\xff\xfe" + lines[2][9:]
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\r\n".join(lines) + b"\n")
+        with pytest.raises(SchemaError) as info:
+            read_records(path)
+        assert info.value.line == 3
+        assert str(info.value) == "line 3: not UTF-8 text: invalid start byte"
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_standard_token_in_an_unknown_key_is_refused(self, token):
@@ -743,6 +755,10 @@ class TestGroupedSplit:
         with pytest.raises(InvalidConfig):
             SplitSpec(1.0)
 
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(InvalidConfig, match="seed"):
+            SplitSpec(0.5, seed=-1)
+
 
 class TestLabeling:
     def correct_and_wrong(self):
@@ -759,14 +775,14 @@ class TestLabeling:
         ]
 
     def test_labels_against_hand_computation(self):
-        labeled = label_records(self.correct_and_wrong(), ErrorThreshold(1.0, 10.0))
-        assert [lab for _, lab in labeled] == [1, 1, 0, 0]
-        np.testing.assert_array_equal(labels_only(labeled), [1.0, 1.0, 0.0, 0.0])
+        labels = label_records(self.correct_and_wrong(), ErrorThreshold(1.0, 10.0))
+        assert labels.dtype == np.float64
+        np.testing.assert_array_equal(labels, [1.0, 1.0, 0.0, 0.0])
 
     def test_looser_threshold_keeps_all_stricter_positives(self):
         records = self.correct_and_wrong()
-        strict = labels_only(label_records(records, ErrorThreshold(0.5, 10.0)))
-        loose = labels_only(label_records(records, ErrorThreshold(5.0, 45.0)))
+        strict = label_records(records, ErrorThreshold(0.5, 10.0))
+        loose = label_records(records, ErrorThreshold(5.0, 45.0))
         assert np.all(loose >= strict)
 
     def test_missing_ground_truth_named(self):
@@ -794,8 +810,6 @@ class TestSynthConfigValidation:
             SynthConfig(correct_fraction=1.2)
         with pytest.raises(InvalidConfig):
             SynthConfig(adversarial_fraction=-0.1)
-        with pytest.raises(InvalidConfig):
-            SynthConfig(sparse_correct_fraction=0.7, hard_correct_fraction=0.5)
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -846,12 +860,13 @@ class TestSynthGenerate:
 
     def test_junk_records_fall_below_min_correspondences(self):
         config = SynthConfig(
-            queries=30, candidates_per_query=4, width=64, height=48,
-            junk_fraction=0.3, failed_query_fraction=0.0,
+            queries=30, candidates_per_query=4, width=64, height=48, junk_fraction=0.3
         )
         records = synth_generate(config, seed=5)
         n_junk = sum(r.num_correspondences < MIN_CORRESPONDENCES for r in records)
-        assert n_junk == round(0.3 * len(records))
+        # junk is drawn only for the queries that are not failed ones
+        n_normal = (30 - round(FAILED_QUERY_FRACTION * 30)) * 4
+        assert n_junk == round(0.3 * n_normal)
 
     def test_round_trips_through_serialization(self):
         config = SynthConfig(queries=6, candidates_per_query=3, width=80, height=60)
@@ -862,5 +877,5 @@ class TestSynthGenerate:
         records = synth_generate(
             SynthConfig(queries=30, candidates_per_query=5), seed=21
         )
-        labels = labels_only(label_records(records))
+        labels = label_records(records)
         assert 0 < labels.sum() < len(labels)

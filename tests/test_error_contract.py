@@ -4,7 +4,9 @@ Valid record lines and model documents are mutated (keys deleted, values
 swapped for other types, huge integers, NaN or infinity, lists grown or
 shortened).  A mutated input may still be valid; otherwise the library
 must raise a PoseconfError subclass, and the CLI must exit 1 or 2 with
-exactly one line on stderr, never a traceback.
+exactly one line on stderr, never a traceback.  Every subcommand also runs
+with bad flag values and damaged input text (CRLF line ends excepted, which
+must be read); it must fail the same way and leave every file as it was.
 """
 
 import contextlib
@@ -24,8 +26,8 @@ from poseconf.dataset_io import (
     SynthConfig,
     build_extended,
     label_records,
-    labels_only,
     parse_record,
+    record_lines,
     serialize_record,
     synth_generate,
 )
@@ -96,7 +98,7 @@ RECORD_DOCS = _record_docs()
 
 def _model_doc():
     records = build_extended(synth_generate(SynthConfig(queries=8, width=64, height=48), 6))
-    labels = labels_only(label_records(records))
+    labels = label_records(records)
     return to_json_dict(train(records, labels).model)
 
 
@@ -196,3 +198,196 @@ def test_unreadable_text_fails_on_one_line(tmp_path, capsys, target, text):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: SchemaError")
+
+
+# ---------------------------------------------------------------------------
+# every subcommand, driven through mutated flags and damaged input text
+
+RUN_RECORDS = synth_generate(SynthConfig(queries=8, width=64, height=48), 6)
+RUN_DATA = "".join(line + "\n" for line in record_lines(RUN_RECORDS)).encode()
+RUN_MODEL = (json.dumps(MODEL_DOC, indent=2, sort_keys=True) + "\n").encode()
+
+COMMANDS = {
+    "synth": ["synth", "--queries", "2", "--candidates", "2", "--width", "64",
+              "--height", "48", "--out", "{root}/out/synth.jsonl"],
+    "train": ["train", "--data", "{root}/in/data.jsonl", "--out", "{root}/out/model.json",
+              "--test-out", "{root}/out/test.jsonl", "--train-out", "{root}/out/train.jsonl"],
+    "score": ["score", "--data", "{root}/in/data.jsonl", "--model", "{root}/in/model.json",
+              "--out", "{root}/out/scored.jsonl"],
+    "eval": ["eval", "--data", "{root}/in/data.jsonl", "--model", "{root}/in/model.json",
+             "--out-dir", "{root}/out/eval", "--ablate", "--train-data", "{root}/in/train.jsonl"],
+    "rerank": ["rerank", "--data", "{root}/in/data.jsonl", "--model", "{root}/in/model.json",
+               "--out-dir", "{root}/out/rerank"],
+}
+
+A_FILE = "{root}/in/notes.txt"
+A_DIR = "{root}/in"
+MISSING = "{root}/missing/x.jsonl"
+UNDER_A_FILE = "{root}/in/notes.txt/x.jsonl"
+MANIFEST_BLOCKED = "{root}/in/blocked.jsonl"  # its manifest's name is a directory
+DIGITS_4301 = "1" * 4301  # one past the digits Python converts to int
+
+
+def _workspace(root):
+    (root / "in").mkdir()
+    (root / "out").mkdir()
+    (root / "in" / "notes.txt").write_text("not a record\n")
+    (root / "in" / "blocked.jsonl.manifest.json").mkdir()
+    (root / "in" / "data.jsonl").write_bytes(RUN_DATA)
+    (root / "in" / "train.jsonl").write_bytes(RUN_DATA)
+    (root / "in" / "model.json").write_bytes(RUN_MODEL)
+
+
+def _argv(command, root, flag=None, value=None):
+    argv = list(COMMANDS[command])
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    elif flag is not None:
+        argv += [flag, value]
+    return [arg.replace("{root}", str(root)) for arg in argv]
+
+
+def _tree(root):
+    """Every path under `root`, with the bytes of each file."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def _fails_on_one_line(argv, root, capsys):
+    """Run a command that must fail and return its one stderr line."""
+    before = _tree(root)
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code in (1, 2)
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert _tree(root) == before  # no new, changed or truncated file
+    return err[0]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_unmutated_commands_succeed(tmp_path, capsys, command):
+    _workspace(tmp_path)
+    assert main(_argv(command, tmp_path)) == 0
+    assert capsys.readouterr().err == ""
+    assert list((tmp_path / "out").iterdir())
+
+
+FLAG_CASES = [
+    ("synth", "--queries", "-1"),
+    ("synth", "--queries", "nan"),
+    ("synth", "--queries", str(10**30)),
+    ("synth", "--candidates", "0"),
+    ("synth", "--candidates", str(10**20)),
+    ("synth", "--width", str(10**20)),
+    ("synth", "--height", "-48"),
+    ("synth", "--adversarial-fraction", "nan"),
+    ("synth", "--junk-fraction", "1e308"),
+    ("synth", "--seed", "-1"),
+    ("synth", "--seed", DIGITS_4301),
+    ("synth", "--out", A_DIR),
+    ("synth", "--out", MISSING),
+    ("synth", "--out", UNDER_A_FILE),
+    ("synth", "--out", MANIFEST_BLOCKED),
+    ("score", "--out", A_DIR),
+    ("score", "--out", MISSING),
+    ("score", "--out", MANIFEST_BLOCKED),
+    ("train", "--seed", "-1"),
+    ("train", "--seed", "nan"),
+    ("train", "--split", "nan"),
+    ("train", "--split", "-0.5"),
+    ("train", "--split", "1e308"),
+    ("train", "--threshold-m", "nan"),
+    ("train", "--threshold-m", "-1"),
+    ("train", "--threshold-deg", "1e308"),
+    ("train", "--features", ""),
+    ("train", "--data", A_FILE),
+    ("train", "--data", A_DIR),
+    ("train", "--data", MISSING),
+    ("train", "--out", A_DIR),
+    ("train", "--out", MISSING),
+    ("train", "--test-out", MISSING),
+    ("train", "--test-out", A_DIR),
+    ("train", "--train-out", UNDER_A_FILE),
+    ("train", "--out", MANIFEST_BLOCKED),
+    ("eval", "--thresholds", ""),
+    ("eval", "--thresholds", "nan,10"),
+    ("eval", "--thresholds", "-1,10"),
+    ("eval", "--thresholds", "1e999,10"),
+    ("eval", "--thresholds", "1,-10"),
+    ("eval", "--data", A_FILE),
+    ("eval", "--data", A_DIR),
+    ("eval", "--model", A_FILE),
+    ("eval", "--model", MISSING),
+    ("eval", "--train-data", A_DIR),
+    ("eval", "--out-dir", A_FILE),
+    ("eval", "--out-dir", UNDER_A_FILE),
+    ("rerank", "--thresholds-m", ""),
+    ("rerank", "--thresholds-m", "nan"),
+    ("rerank", "--thresholds-m", "-1"),
+    ("rerank", "--thresholds-m", "1e999"),
+    ("rerank", "--threshold-deg", "nan"),
+    ("rerank", "--threshold-deg", "-5"),
+    ("rerank", "--threshold-deg", "1e308"),
+    ("rerank", "--data", MISSING),
+    ("rerank", "--model", A_DIR),
+    ("rerank", "--out-dir", A_FILE),
+]
+
+
+def _case_id(case):
+    command, flag, value = case
+    for name, path in (("file", A_FILE), ("dir", A_DIR), ("missing", MISSING),
+                       ("under-file", UNDER_A_FILE), ("manifest-blocked", MANIFEST_BLOCKED),
+                       ("4301-digits", DIGITS_4301)):
+        if value == path:
+            value = name
+    return f"{command}{flag}={value or 'empty'}"
+
+
+@pytest.mark.parametrize("case", FLAG_CASES, ids=map(_case_id, FLAG_CASES))
+def test_bad_flag_fails_on_one_line(tmp_path, capsys, case):
+    command, flag, value = case
+    _workspace(tmp_path)
+    _fails_on_one_line(_argv(command, tmp_path, flag, value), tmp_path, capsys)
+
+
+def _on_line_3(text):
+    lines = text.split(b"\n")
+    lines[2] = lines[2][:6] + b"\xff" + lines[2][6:]
+    return b"\n".join(lines)
+
+
+def _long_int(text):
+    digits = DIGITS_4301.encode()
+    text = text.replace(b'"candidate_rank":1', b'"candidate_rank":' + digits, 1)
+    return text.replace(b'"format_version": 1', b'"format_version": ' + digits, 1)
+
+
+DAMAGE = {
+    "truncated": lambda text: text[:-20],
+    "bom": lambda text: b"\xef\xbb\xbf" + text,
+    "crlf": lambda text: text.replace(b"\n", b"\r\n"),
+    "non-utf8": _on_line_3,
+    "4301-digits": _long_int,
+}
+INPUTS = [("train", "--data"), ("score", "--data"), ("score", "--model"), ("eval", "--data"),
+          ("eval", "--model"), ("eval", "--train-data"), ("rerank", "--data"),
+          ("rerank", "--model")]
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("command, flag", INPUTS, ids=[c + f for c, f in INPUTS])
+def test_damaged_input_text_fails_on_one_line(tmp_path, capsys, command, flag, damage):
+    _workspace(tmp_path)
+    source = RUN_MODEL if flag == "--model" else RUN_DATA
+    damaged = tmp_path / "in" / "damaged"
+    damaged.write_bytes(DAMAGE[damage](source))
+    assert damaged.read_bytes() != source
+    argv = _argv(command, tmp_path, flag, str(damaged))
+    if damage == "crlf":  # JSON whitespace, and a line end the reader accepts
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        return
+    err = _fails_on_one_line(argv, tmp_path, capsys)
+    if damage == "non-utf8" and flag != "--model":
+        assert err.startswith("error: SchemaError: line 3: not UTF-8 text")

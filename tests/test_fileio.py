@@ -2,7 +2,7 @@
 
 import pytest
 
-from poseconf.fileio import atomic_open
+from poseconf.fileio import atomic_open, check_writable
 
 
 def test_interrupted_write_leaves_no_file(tmp_path):
@@ -40,3 +40,24 @@ def test_failed_rename_names_the_target(tmp_path):
     assert (info.value.filename, info.value.filename2) == (str(path), None)
     assert str(info.value).endswith(f"'{path}'")
     assert [p.name for p in tmp_path.iterdir()] == ["scored"]
+
+
+@pytest.mark.parametrize(
+    "name, error",
+    [("missing/out.json", NotADirectoryError), ("plain/out.json", NotADirectoryError),
+     ("folder", IsADirectoryError), ("out.json", None)],
+    ids=["missing-directory", "file-as-directory", "directory", "writable"],
+)
+def test_check_writable_refuses_what_atomic_open_would(tmp_path, name, error):
+    (tmp_path / "plain").write_text("")
+    (tmp_path / "folder").mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    if error is None:
+        check_writable(tmp_path / name)
+    else:
+        with pytest.raises(error):
+            check_writable(tmp_path / "out.json", tmp_path / name)
+        with pytest.raises(OSError):
+            with atomic_open(tmp_path / name, "w", encoding="utf-8") as fh:
+                fh.write("line\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
