@@ -31,7 +31,7 @@ from .dataset_io import (
     synth_generate,
     write_records,
 )
-from .errors import InvalidConfig, InvariantViolation, PoseconfError
+from .errors import EmptyDataset, InvalidConfig, InvariantViolation, PoseconfError
 from .evaluation import (
     ablation,
     accuracy_at,
@@ -218,6 +218,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     thresholds = _parse_threshold_list(args.thresholds)
     records = read_records(args.data)
+    if not records:
+        raise EmptyDataset(f"no records in {args.data}")
     n_queries = len(group_by_query(records))
 
     params = model.coverage_params()

@@ -11,14 +11,16 @@ remain parseable.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import operator
 import os
 import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -610,6 +612,8 @@ class SynthConfig:
             )
         if self.queries * self.candidates_per_query > INT64_MAX:  # past numpy's index range
             raise InvalidConfig(f"queries x candidates_per_query exceeds {INT64_MAX}")
+        if self.width * self.height > INT64_MAX:  # past what ImageDims can count
+            raise InvalidConfig(f"width x height exceeds {INT64_MAX}")
         for name in ("correct_fraction", "adversarial_fraction", "junk_fraction"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -790,50 +794,80 @@ def _make_record(
     )
 
 
-def synth_generate(config: SynthConfig, seed: int = 0) -> list[PoseRecord]:
-    """Deterministic synthetic benchmark records (see SynthConfig).
+# the regimes of the pooled candidates, in their order in the pool before it is shuffled
+_POOLED_TAGS = ("junk", "sparse", "hard", "dense", "decoy", "plain")
+
+
+class SynthRecords(Sequence[PoseRecord]):
+    """The records of `synth_generate`, each made only when it is reached.
+
+    Nothing is kept between records: every pass replays the same random
+    stream from the generator state left after the regime draws, so two
+    passes give equal records, and an index replays the stream up to its
+    position.  Call `list()` on it for repeated random access.
+    """
+
+    def __init__(self, config: SynthConfig, seed: int):
+        if seed < 0:  # numpy seeds are non-negative
+            raise InvalidConfig(f"seed must be >= 0, got {seed}")
+        self.config = config
+        self._dims = ImageDims(config.width, config.height)  # query and database images alike
+        rng = np.random.default_rng(seed)
+        n_failed = int(round(FAILED_QUERY_FRACTION * config.queries))
+        n_normal = (config.queries - n_failed) * config.candidates_per_query
+        n_junk = int(round(config.junk_fraction * n_normal))
+        n_correct = int(round(config.correct_fraction * (n_normal - n_junk)))
+        n_incorrect = n_normal - n_junk - n_correct
+        n_sparse = int(round(SPARSE_CORRECT_FRACTION * n_correct))
+        n_hard = int(round(HARD_CORRECT_FRACTION * n_correct))
+        n_decoy = int(round(config.adversarial_fraction * n_incorrect))
+        counts = [n_junk, n_sparse, n_hard, n_correct - n_sparse - n_hard,
+                  n_decoy, n_incorrect - n_decoy]
+        try:
+            self._failed = set(rng.permutation(config.queries)[:n_failed].tolist())
+            # one tag index per pooled record, shuffled so regimes spread across queries
+            pool = np.repeat(np.arange(len(_POOLED_TAGS), dtype=np.uint8), counts)
+            self._pool = pool[rng.permutation(n_normal)]
+        except (ValueError, MemoryError):  # numpy's size limit, or no memory for the pool
+            raise InvalidConfig(
+                f"{config.queries} x {config.candidates_per_query} synthetic records "
+                "are too many to generate"
+            ) from None
+        self._rng = rng
+
+    def __len__(self) -> int:
+        return self.config.queries * self.config.candidates_per_query
+
+    def __iter__(self) -> Iterator[PoseRecord]:
+        config = self.config
+        rng = copy.deepcopy(self._rng)
+        next_pooled = 0
+        for qi in range(config.queries):
+            query_id = f"q{qi:04d}"
+            for rank in range(1, config.candidates_per_query + 1):
+                if qi in self._failed:
+                    tag = "decoy" if rng.random() < config.adversarial_fraction else "plain"
+                else:
+                    tag = _POOLED_TAGS[self._pool[next_pooled]]
+                    next_pooled += 1
+                yield _make_record(rng, query_id, rank, tag, self._dims, config.include_pv)
+
+    def __getitem__(self, index: int) -> PoseRecord:
+        n = len(self)
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"synthetic record index {index} out of range for {n} records")
+        return next(islice(self, i, None))
+
+
+def synth_generate(config: SynthConfig, seed: int = 0) -> SynthRecords:
+    """Deterministic synthetic benchmark records (see SynthConfig), as a lazy,
+    re-iterable sequence (see SynthRecords).
 
     A failed-query subset gets only incorrect candidates; the remaining
     records draw from a fraction-sized regime pool that is shuffled so the
     regimes spread across queries.
     """
-    if seed < 0:  # numpy seeds are non-negative
-        raise InvalidConfig(f"seed must be >= 0, got {seed}")
-    total = config.queries * config.candidates_per_query
-    if total == 0:
-        return []
-    rng = np.random.default_rng(seed)
-    n_failed = int(round(FAILED_QUERY_FRACTION * config.queries))
-    failed_queries = set(rng.permutation(config.queries)[:n_failed].tolist())
-
-    n_normal = (config.queries - n_failed) * config.candidates_per_query
-    n_junk = int(round(config.junk_fraction * n_normal))
-    n_correct = int(round(config.correct_fraction * (n_normal - n_junk)))
-    n_incorrect = n_normal - n_junk - n_correct
-    n_sparse = int(round(SPARSE_CORRECT_FRACTION * n_correct))
-    n_hard = int(round(HARD_CORRECT_FRACTION * n_correct))
-    n_decoy = int(round(config.adversarial_fraction * n_incorrect))
-    pool = (
-        ["junk"] * n_junk
-        + ["sparse"] * n_sparse
-        + ["hard"] * n_hard
-        + ["dense"] * (n_correct - n_sparse - n_hard)
-        + ["decoy"] * n_decoy
-        + ["plain"] * (n_incorrect - n_decoy)
-    )
-    order = rng.permutation(n_normal)
-    pool = [pool[i] for i in order]
-
-    dims = ImageDims(config.width, config.height)  # query and database images alike
-    records = []
-    next_pooled = 0
-    for qi in range(config.queries):
-        query_id = f"q{qi:04d}"
-        for rank in range(1, config.candidates_per_query + 1):
-            if qi in failed_queries:
-                tag = "decoy" if rng.random() < config.adversarial_fraction else "plain"
-            else:
-                tag = pool[next_pooled]
-                next_pooled += 1
-            records.append(_make_record(rng, query_id, rank, tag, dims, config.include_pv))
-    return records
+    return SynthRecords(config, seed)

@@ -413,11 +413,11 @@ def test_criterion_10_pipeline_determinism(tmp_path):
 
 
 def test_criterion_11_format_round_trip(bench, tmp_path):
-    records = synth_generate(
+    records = list(synth_generate(
         SynthConfig(queries=8, candidates_per_query=4, width=96, height=72,
                     include_pv=True, junk_fraction=0.1),
         seed=11,
-    )
+    ))
     records_ok = all(parse_record(serialize_record(r)) == r for r in records)
     stream_ok = parse_records(record_lines(records)) == records
 

@@ -7,6 +7,10 @@ exercised the same way the console script runs them.
 import csv
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -19,6 +23,8 @@ from poseconf.confidence_model import load_model, score_records
 from poseconf.dataset_io import build_extended, read_records, serialize_record, write_records
 from poseconf.evaluation import sweep_scores
 from poseconf.pose_metrics import ErrorThreshold
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SYNTH_ARGS = [
     "synth",
@@ -125,6 +131,34 @@ class TestSynth:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("size", [["--queries", str(2**62), "--candidates", "1"],
+                                      ["--width", str(2**32), "--height", str(2**32)]],
+                             ids=["records", "pixels"])
+    def test_too_large_is_a_one_line_config_error(self, tmp_path, capsys, size):
+        assert main(["synth", *size, "--out", str(tmp_path / "x.jsonl")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: InvalidConfig:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_regime_pool_beyond_memory_is_a_one_line_config_error(self, tmp_path):
+        # the pool would take 200 GB: run it only under an address-space limit
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "poseconf.cli", "synth", "--queries", "2",
+             "--candidates", str(10**11), "--out", str(tmp_path / "x.jsonl")],
+            env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: InvalidConfig:")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:
@@ -448,6 +482,16 @@ class TestEval:
                 "--out-dir", str(out_dir), "--ablate"]
         assert main(argv + (["--train-data", str(bad)] if bad_train_data else [])) == code
         assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_empty_input_is_a_one_line_error(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out_dir = tmp_path / "eval"
+        assert main(["eval", "--data", str(empty), "--model", str(workspace["model"]),
+                     "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: EmptyDataset:")
         assert not out_dir.exists()
 
     def test_ablation_table(self, workspace, tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -528,10 +529,13 @@ def compact(doc):
 
 SYNTH_LINES = list(
     record_lines(
-        synth_generate(SynthConfig(queries=3, candidates_per_query=3, width=64, height=48), 11)
-        + synth_generate(
-            SynthConfig(queries=2, candidates_per_query=4, junk_fraction=0.5, include_pv=True), 12
-        )
+        [
+            *synth_generate(SynthConfig(queries=3, candidates_per_query=3, width=64, height=48), 11),
+            *synth_generate(
+                SynthConfig(queries=2, candidates_per_query=4, junk_fraction=0.5, include_pv=True),
+                12,
+            ),
+        ]
     )
 )
 
@@ -819,25 +823,62 @@ class TestSynthConfigValidation:
         with pytest.raises(InvalidConfig):
             SynthConfig(width=0)
 
+    def test_pixel_count_beyond_int64_rejected(self):
+        with pytest.raises(InvalidConfig, match="width x height"):
+            SynthConfig(width=2**32, height=2**32)
+        with pytest.raises(InvalidConfig, match="width x height"):
+            SynthConfig(width=INT64_MAX // 16 + 1, height=16)
+        SynthConfig(width=INT64_MAX // 16, height=16)  # the largest count still fits
+
 
 class TestSynthGenerate:
     def test_deterministic_for_a_seed(self):
         config = SynthConfig(queries=12, candidates_per_query=4, width=96, height=72)
-        assert synth_generate(config, seed=3) == synth_generate(config, seed=3)
+        assert list(synth_generate(config, seed=3)) == list(synth_generate(config, seed=3))
         assert list(record_lines(synth_generate(config, seed=3))) == list(
             record_lines(synth_generate(config, seed=3))
         )
 
     def test_different_seeds_differ(self):
         config = SynthConfig(queries=12, candidates_per_query=4, width=96, height=72)
-        assert synth_generate(config, seed=1) != synth_generate(config, seed=2)
+        assert list(synth_generate(config, seed=1)) != list(synth_generate(config, seed=2))
 
     def test_zero_queries(self):
-        assert synth_generate(SynthConfig(queries=0), seed=0) == []
+        assert list(synth_generate(SynthConfig(queries=0), seed=0)) == []
 
     def test_negative_seed_is_a_config_error(self):
         with pytest.raises(InvalidConfig):
             synth_generate(SynthConfig(queries=2), seed=-1)
+
+    def test_too_many_records_is_a_config_error(self):
+        # numpy refuses the query permutation before anything is allocated
+        with pytest.raises(InvalidConfig, match="too many"):
+            synth_generate(SynthConfig(queries=2**62, candidates_per_query=1), seed=0)
+
+    def test_is_a_lazy_re_iterable_sequence(self):
+        config = SynthConfig(queries=5, candidates_per_query=3, width=64, height=48)
+        records = synth_generate(config, seed=9)
+        first = list(records)
+        assert len(records) == len(first) == 15
+        assert list(records) == first  # a second pass replays the same stream
+        assert records[0] == first[0] and records[-1] == first[-1]
+        assert records[7] == first[7] and records[-15] == first[0]
+        for index in (15, -16):
+            with pytest.raises(IndexError):
+                records[index]
+
+    def test_writing_holds_one_record_at_a_time(self, tmp_path):
+        path = tmp_path / "synth.jsonl"
+        config = SynthConfig(queries=40)
+        write_records(synth_generate(config, 0), path)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            write_records(synth_generate(config, 0), path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a list of the 400 records alone takes about 6.5 MB
+        assert peak < 2**20
 
     def test_record_invariants(self):
         config = SynthConfig(
@@ -870,7 +911,7 @@ class TestSynthGenerate:
 
     def test_round_trips_through_serialization(self):
         config = SynthConfig(queries=6, candidates_per_query=3, width=80, height=60)
-        records = synth_generate(config, seed=13)
+        records = list(synth_generate(config, seed=13))
         assert parse_records(record_lines(records)) == records
 
     def test_both_classes_appear_at_default_threshold(self):

@@ -279,6 +279,7 @@ FLAG_CASES = [
     ("synth", "--candidates", "0"),
     ("synth", "--candidates", str(10**20)),
     ("synth", "--width", str(10**20)),
+    ("synth", "--width", str(2**62)),  # fits int64, but not times the height
     ("synth", "--height", "-48"),
     ("synth", "--adversarial-fraction", "nan"),
     ("synth", "--junk-fraction", "1e308"),
