@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -75,6 +76,18 @@ def _write_manifest(
     with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _check_distinct(outputs: dict[str, str | None]) -> None:
+    """Refuse two outputs (name -> path) that are one file: one write would replace the other."""
+    seen: dict[str, str] = {}
+    for name, path in outputs.items():
+        if not path:  # not given
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise InvalidConfig(f"{seen[real]} and {name} name the same file {path!r}")
+        seen[real] = name
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
@@ -151,6 +164,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     feature_set = parse_feature_set(args.features)
     spec = SplitSpec(args.split, args.seed)
     outputs = [args.out] + [p for p in (args.test_out, args.train_out) if p]
+    _check_distinct({
+        "--out": args.out,
+        "the manifest of --out": args.out + ".manifest.json",
+        "--test-out": args.test_out,
+        "--train-out": args.train_out,
+    })
     check_writable(*outputs, args.out + ".manifest.json")
     loaded = read_records(args.data)
     records = build_extended(loaded)
@@ -537,7 +556,27 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run the CLI as a process of its own (the `poseconf` script, `python -m`).
+
+    The imports leave tens of thousands of objects that the cyclic collector
+    would rescan in every full collection, at exit too; `gc.freeze` moves them
+    to the permanent generation, and objects the run makes are collected as
+    before.  `main` does not freeze, so in-process callers keep a normal heap.
+    A closed stdout ends the run with one error line, buffered or not.
+    """
+    gc.freeze()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # point stdout at devnull so the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if code == 0:  # a failed run has printed its one error line already
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """End-to-end tests for the command line interface.
 
 Everything goes through main(argv) so exit codes and error reporting are
-exercised the same way the console script runs them.
+exercised the same way the console script runs them; `TestEntry` covers
+what the process entry point adds around main.
 """
 
+import ast
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -15,6 +18,7 @@ from collections import Counter
 
 import pytest
 
+import poseconf.cli
 import poseconf.confidence_model
 import poseconf.features
 from conftest import make_record
@@ -25,6 +29,16 @@ from poseconf.evaluation import sweep_scores
 from poseconf.pose_metrics import ErrorThreshold
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def child_env():
+    """The environment for a `python -m poseconf.cli` child that imports this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
 
 SYNTH_ARGS = [
     "synth",
@@ -75,6 +89,57 @@ class TestArgumentHandling:
     def test_version_exits_cleanly(self, capsys):
         assert main(["--version"]) == 0
         assert "poseconf" in capsys.readouterr().out
+
+
+class TestEntry:
+    """`entry()` is the process entry point; `main()` is what in-process callers use."""
+
+    def test_entry_freezes_the_heap_then_exits_with_mains_code(self, monkeypatch):
+        calls = []
+        # pytest's own heap is never frozen
+        monkeypatch.setattr(poseconf.cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(poseconf.cli, "main", lambda: calls.append("main") or 3)
+        with pytest.raises(SystemExit) as info:
+            poseconf.cli.entry()
+        assert calls == ["freeze", "main"]
+        assert info.value.code == 3
+
+    def test_main_in_process_leaves_the_heap_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["synth", "--queries", "2", "--candidates", "2", "--width", "64",
+                     "--height", "48", "--out", str(tmp_path / "data.jsonl")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_both_launchers_run_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(poseconf.cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        guards = [node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [[ast.unparse(stmt) for stmt in node.body] for node in guards] == [["entry()"]]
+        with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+            assert tomllib.load(fh)["project"]["scripts"] == {"poseconf": "poseconf.cli:entry"}
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_fails_on_one_line(self, tmp_path, unbuffered):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "poseconf.cli", "synth", "--queries", "2",
+                 "--candidates", "2", "--out", str(tmp_path / "data.jsonl")],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines() == ["error: [Errno 32] Broken pipe"]
+        assert len(read_records(tmp_path / "data.jsonl")) == 4
+        assert (tmp_path / "data.jsonl.manifest.json").is_file()
 
 
 class TestSynth:
@@ -146,14 +211,10 @@ class TestSynth:
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "poseconf.cli", "synth", "--queries", "2",
              "--candidates", str(10**11), "--out", str(tmp_path / "x.jsonl")],
-            env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=300,
+            env=child_env(), preexec_fn=limit_memory, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 2, proc.stderr
         err = proc.stderr.splitlines()

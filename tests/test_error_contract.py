@@ -254,14 +254,14 @@ def _tree(root):
 
 
 def _fails_on_one_line(argv, root, capsys):
-    """Run a command that must fail and return its one stderr line."""
+    """Run a command that must fail and return its exit code and one stderr line."""
     before = _tree(root)
     code = main(argv)
     err = capsys.readouterr().err.splitlines()
     assert code in (1, 2)
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert _tree(root) == before  # no new, changed or truncated file
-    return err[0]
+    return code, err[0]
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -271,6 +271,14 @@ def test_unmutated_commands_succeed(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
     assert list((tmp_path / "out").iterdir())
 
+
+# two of train's outputs naming one file: a usage error, found before --data is read
+SAME_FILE_CASES = [
+    ("train", "--test-out", "{root}/out/model.json"),
+    ("train", "--train-out", "{root}/out/test.jsonl"),
+    ("train", "--out", "{root}/out/../out/train.jsonl"),
+    ("train", "--test-out", "{root}/out/model.json.manifest.json"),
+]
 
 FLAG_CASES = [
     ("synth", "--queries", "-1"),
@@ -310,6 +318,7 @@ FLAG_CASES = [
     ("train", "--test-out", A_DIR),
     ("train", "--train-out", UNDER_A_FILE),
     ("train", "--out", MANIFEST_BLOCKED),
+    *SAME_FILE_CASES,
     ("eval", "--thresholds", ""),
     ("eval", "--thresholds", "nan,10"),
     ("eval", "--thresholds", "-1,10"),
@@ -342,14 +351,16 @@ def _case_id(case):
                        ("4301-digits", DIGITS_4301)):
         if value == path:
             value = name
-    return f"{command}{flag}={value or 'empty'}"
+    return f"{command}{flag}={value.replace('{root}/', '') or 'empty'}"
 
 
 @pytest.mark.parametrize("case", FLAG_CASES, ids=map(_case_id, FLAG_CASES))
 def test_bad_flag_fails_on_one_line(tmp_path, capsys, case):
     command, flag, value = case
     _workspace(tmp_path)
-    _fails_on_one_line(_argv(command, tmp_path, flag, value), tmp_path, capsys)
+    code, _ = _fails_on_one_line(_argv(command, tmp_path, flag, value), tmp_path, capsys)
+    if case in SAME_FILE_CASES:
+        assert code == 2
 
 
 def _on_line_3(text):
@@ -389,6 +400,6 @@ def test_damaged_input_text_fails_on_one_line(tmp_path, capsys, command, flag, d
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
         return
-    err = _fails_on_one_line(argv, tmp_path, capsys)
+    _, err = _fails_on_one_line(argv, tmp_path, capsys)
     if damage == "non-utf8" and flag != "--model":
         assert err.startswith("error: SchemaError: line 3: not UTF-8 text")
