@@ -52,42 +52,59 @@ from .dataset_io import serialize_record  # noqa: F401
 from .evaluation import select_best  # noqa: F401
 
 
-def _write_manifest(
-    path: str,
-    subcommand: str,
-    args: argparse.Namespace,
-    inputs: Sequence[str],
-    outputs: Sequence[str],
-    started: float,
-    facts: dict | None = None,
-) -> None:
-    """Write the run manifest; `facts` adds deterministic results of the run."""
-    config = {k: v for k, v in vars(args).items() if k not in ("handler", "subcommand")}
-    manifest = {
-        **(facts or {}),
-        "subcommand": subcommand,
-        "tool_version": __version__,
-        "config": config,
-        "inputs": list(inputs),
-        "outputs": list(outputs),
-        "seed": getattr(args, "seed", None),
-        "duration_s": round(time.perf_counter() - started, 6),
-    }
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def _same_file(a: str, b: str) -> bool:
+    try:  # samefile finds hard links, and raises for a file that does not exist
+        return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
+    except OSError:
+        return False
 
 
-def _check_distinct(outputs: dict[str, str | None]) -> None:
-    """Refuse two outputs (name -> path) that are one file: one write would replace the other."""
-    seen: dict[str, str] = {}
-    for name, path in outputs.items():
-        if not path:  # not given
-            continue
-        real = os.path.realpath(path)
-        if real in seen:
-            raise InvalidConfig(f"{seen[real]} and {name} name the same file {path!r}")
-        seen[real] = name
+class _Files:
+    """A command's files, named once before it reads any.
+
+    `inputs` maps flags to paths (None when not given).  `outputs` does too,
+    and the manifest goes beside `--out`; with `out_dir`, `outputs` lists
+    file names in that directory, which the command makes, and the manifest
+    is its manifest.json.  An output that `check_writable` refuses fails, and
+    one that is the same file as another output or an input is a usage error.
+    """
+
+    def __init__(self, inputs: dict, outputs: dict | Sequence[str], out_dir: str | None = None):
+        if out_dir is None:
+            outputs = {**outputs, "the manifest of --out": outputs["--out"] + ".manifest.json"}
+        else:
+            outputs = {name: os.path.join(out_dir, name) for name in [*outputs, "manifest.json"]}
+        inputs = {name: path for name, path in inputs.items() if path}
+        outputs = {name: path for name, path in outputs.items() if path}
+        check_writable(*outputs.values(), make_dirs=out_dir is not None)
+        named = list(inputs.items())
+        for name, path in outputs.items():
+            for other, other_path in named:
+                if _same_file(path, other_path):
+                    raise InvalidConfig(f"{other} and {name} name the same file {path!r}")
+            named.append((name, path))
+        self.inputs = list(inputs.values())
+        *written, (_, self.manifest) = outputs.items()
+        self.outputs = dict(written)  # what the manifest lists as written
+
+    def write_manifest(
+        self, subcommand: str, args: argparse.Namespace, started: float, facts: dict | None = None
+    ) -> None:
+        """Write the run manifest; `facts` adds deterministic results of the run."""
+        config = {k: v for k, v in vars(args).items() if k not in ("handler", "subcommand")}
+        manifest = {
+            **(facts or {}),
+            "subcommand": subcommand,
+            "tool_version": __version__,
+            "config": config,
+            "inputs": self.inputs,
+            "outputs": list(self.outputs.values()),
+            "seed": getattr(args, "seed", None),
+            "duration_s": round(time.perf_counter() - started, 6),
+        }
+        with atomic_open(self.manifest, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
@@ -150,10 +167,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         junk_fraction=args.junk_fraction,
         include_pv=args.include_pv,
     )
-    check_writable(args.out, args.out + ".manifest.json")
+    files = _Files({}, {"--out": args.out})
     records = synth_generate(config, args.seed)
     write_records(records, args.out)
-    _write_manifest(args.out + ".manifest.json", "synth", args, [], [args.out], started)
+    files.write_manifest("synth", args, started)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -163,14 +180,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     threshold = _threshold(args.threshold_m, args.threshold_deg)
     feature_set = parse_feature_set(args.features)
     spec = SplitSpec(args.split, args.seed)
-    outputs = [args.out] + [p for p in (args.test_out, args.train_out) if p]
-    _check_distinct({
-        "--out": args.out,
-        "the manifest of --out": args.out + ".manifest.json",
-        "--test-out": args.test_out,
-        "--train-out": args.train_out,
-    })
-    check_writable(*outputs, args.out + ".manifest.json")
+    files = _Files(
+        {"--data": args.data},
+        {"--out": args.out, "--test-out": args.test_out, "--train-out": args.train_out},
+    )
     loaded = read_records(args.data)
     records = build_extended(loaded)
     label_records(records, threshold)  # validate ground truth up front
@@ -191,9 +204,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "final_loss": result.final_loss,
         },
     }
-    _write_manifest(
-        args.out + ".manifest.json", "train", args, [args.data], outputs, started, facts
-    )
+    files.write_manifest("train", args, started, facts)
     if not result.converged:
         print(
             f"warning: fit did not converge within {result.epochs_run} iterations "
@@ -210,14 +221,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    check_writable(args.out, args.out + ".manifest.json")
+    files = _Files({"--data": args.data, "--model": args.model}, {"--out": args.out})
     model = load_model(args.model)
     records = read_records(args.data)
     extras = [{"confidence": c} for c in score_records(model, records).tolist()]
     write_records(records, args.out, extras)
-    _write_manifest(
-        args.out + ".manifest.json", "score", args, [args.data, args.model], [args.out], started
-    )
+    files.write_manifest("score", args, started)
     print(f"scored {len(records)} records to {args.out}")
     return 0
 
@@ -234,6 +243,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.ablate and not args.train_data:
         raise InvalidConfig("--ablate requires --train-data")
+    files = _Files(
+        {"--data": args.data, "--model": args.model, "--train-data": args.train_data},
+        ["pr_curves.csv", "pr_curves.svg", "thresholds.csv", *["ablation.csv"] * args.ablate,
+         "report.json"],
+        args.out_dir,
+    )
     model = load_model(args.model)
     thresholds = _parse_threshold_list(args.thresholds)
     records = read_records(args.data)
@@ -277,35 +292,32 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
 
     os.makedirs(args.out_dir, exist_ok=True)
-    outputs = []
+    paths = files.outputs
     if primary.degenerate:
         print(
             "warning: labeling at the primary threshold is single-class; "
             "PR curves skipped",
             file=sys.stderr,
         )
+        del paths["pr_curves.csv"], paths["pr_curves.svg"]  # not written, so not in the manifest
     else:
         counts = np.asarray([float(r.inlier_count) for r in records])
         model_curve = pr_curve_from_scores(scores, primary_labels)
         inliers_curve = pr_curve_from_scores(counts, primary_labels)
-        curves_csv = os.path.join(args.out_dir, "pr_curves.csv")
         curve_rows = [
             [name, repr(recall), repr(precision)]
             for name, curve in (("model", model_curve), ("inliers", inliers_curve))
             for recall, precision in curve.points
         ]
-        _write_csv(curves_csv, ["curve", "recall", "precision"], curve_rows)
-        curves_svg = os.path.join(args.out_dir, "pr_curves.svg")
+        _write_csv(paths["pr_curves.csv"], ["curve", "recall", "precision"], curve_rows)
         write_svg(
             line_plot_svg(
                 [("model", model_curve.points), ("inliers", inliers_curve.points)],
                 "Precision-recall", "recall", "precision",
             ),
-            curves_svg,
+            paths["pr_curves.svg"],
         )
-        outputs += [curves_csv, curves_svg]
 
-    thresholds_csv = os.path.join(args.out_dir, "thresholds.csv")
     threshold_rows = [
         [
             repr(row.threshold.max_translation_m),
@@ -319,19 +331,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for row in rows
     ]
     _write_csv(
-        thresholds_csv,
+        paths["thresholds.csv"],
         ["threshold_m", "threshold_deg", "n_records", "n_positive",
          "model_auc", "inliers_auc", "degenerate"],
         threshold_rows,
     )
-    outputs.append(thresholds_csv)
 
     if ablation_rows is not None:
-        ablation_csv = os.path.join(args.out_dir, "ablation.csv")
-        _write_csv(ablation_csv, ["features", "auc"], [
+        _write_csv(paths["ablation.csv"], ["features", "auc"], [
             ["+".join(subset), "" if auc is None else repr(auc)] for subset, auc in ablation_rows
         ])
-        outputs.append(ablation_csv)
 
     report = {
         "n_records": len(records),
@@ -360,21 +369,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if ablation_rows is None
         else [{"features": list(s), "auc": v} for s, v in ablation_rows],
     }
-    report_path = os.path.join(args.out_dir, "report.json")
-    with atomic_open(report_path, "w", encoding="utf-8") as fh:
+    with atomic_open(paths["report.json"], "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    outputs.append(report_path)
 
-    _write_manifest(
-        os.path.join(args.out_dir, "manifest.json"),
-        "eval",
-        args,
-        [args.data, args.model] + ([args.train_data] if args.train_data else []),
-        outputs,
-        started,
-        facts,
-    )
+    files.write_manifest("eval", args, started, facts)
     if not primary.degenerate:
         print(
             f"model AUC {primary.model_auc:.4f} vs inliers AUC {primary.inliers_auc:.4f} "
@@ -385,6 +384,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_rerank(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    files = _Files(
+        {"--data": args.data, "--model": args.model},
+        ["selections.jsonl", "accuracy.csv", "accuracy.svg"],
+        args.out_dir,
+    )
+    paths = files.outputs
     model = load_model(args.model)
     records = read_records(args.data)
     thresholds = [
@@ -408,14 +413,12 @@ def cmd_rerank(args: argparse.Namespace) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
 
-    selections_path = os.path.join(args.out_dir, "selections.jsonl")
-    write_records(model_selected, selections_path, [{"confidence": scores[i]} for i in picks])
+    extras = [{"confidence": scores[i]} for i in picks]
+    write_records(model_selected, paths["selections.jsonl"], extras)
 
-    accuracy_csv = os.path.join(args.out_dir, "accuracy.csv")
-    _write_csv(accuracy_csv, ["threshold_m", "model_accuracy", "max_inliers_accuracy"], [
+    _write_csv(paths["accuracy.csv"], ["threshold_m", "model_accuracy", "max_inliers_accuracy"], [
         [repr(meters), repr(ours), repr(baseline)] for meters, ours, baseline in accuracy_rows
     ])
-    accuracy_svg = os.path.join(args.out_dir, "accuracy.svg")
     write_svg(
         line_plot_svg(
             [
@@ -426,17 +429,10 @@ def cmd_rerank(args: argparse.Namespace) -> int:
             "translation threshold (m)",
             "accuracy",
         ),
-        accuracy_svg,
+        paths["accuracy.svg"],
     )
 
-    _write_manifest(
-        os.path.join(args.out_dir, "manifest.json"),
-        "rerank",
-        args,
-        [args.data, args.model],
-        [selections_path, accuracy_csv, accuracy_svg],
-        started,
-    )
+    files.write_manifest("rerank", args, started)
     print(f"reranked {len(model_selected)} queries")
     return 0
 

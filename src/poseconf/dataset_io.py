@@ -18,6 +18,7 @@ import operator
 import os
 import random
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -30,11 +31,12 @@ from .errors import (
     InvalidConfig,
     InvariantViolation,
     MissingGroundTruth,
+    PoseconfError,
     SchemaError,
     TooFewQueries,
 )
 from .fileio import atomic_open
-from .pose_metrics import ErrorThreshold, Pose, is_correct, pose_error
+from .pose_metrics import ErrorThreshold, Pose, is_correct, pose_error, refused_poses
 
 MIN_CORRESPONDENCES = 3  # below this, estimation is trivially failed
 
@@ -51,8 +53,9 @@ class PoseRecord:
     estimated_pose: Pose
     ground_truth_pose: Pose | None = None
     pv_score: float | None = None
-    # the JSON text this record was parsed from; `record_lines` writes it back
-    # unchanged.  Not an init field, so built or replaced records carry none.
+    # the JSON text this record was parsed from; `record_lines` writes it back,
+    # extra fields appended.  Not an init field, so built or replaced records
+    # carry none.
     source: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -169,9 +172,16 @@ def _as_real(value, field: str, line: int) -> float:
     return out
 
 
-def _as_real_list(value, n: int, field: str, line: int) -> list[float]:
+_REALS = {int, float}  # exact types: a bool is an int
+
+
+def _as_real_list(value, n: int, field: str, line: int, finite: bool = True) -> list:
+    """`n` reals; with `finite` False, a list of exact ints and floats is
+    returned as it is, and their conversion and finiteness are checked later."""
     if not isinstance(value, list) or len(value) != n:
         raise SchemaError(line=line, field=field, message=f"expected a list of {n} numbers")
+    if not finite and set(map(type, value)) <= _REALS:
+        return value
     return [_as_real(v, field, line) for v in value]
 
 
@@ -214,7 +224,11 @@ def _as_point_list(value, field: str, line: int) -> np.ndarray:
     return points
 
 
-def _pose_from_lists(rotation: list[float], translation: list[float], line: int) -> Pose:
+def _pose_from_lists(
+    rotation: list[float], translation: list[float], line: int, unchecked: _UncheckedPoses | None
+) -> Pose:
+    if unchecked is not None:
+        return object.__new__(Pose)  # `unchecked.check` gives it its values
     matrix = np.asarray(rotation, dtype=np.float64).reshape(3, 3)  # row-major
     try:
         return Pose(matrix, np.asarray(translation, dtype=np.float64))
@@ -233,9 +247,20 @@ def _inlier_points(obj: Mapping, field: str, line: int, points: Mapping | None) 
     return _as_point_list(_require(obj, field, line), field, line)
 
 
-def _record_from(obj: Mapping, line: int, points: Mapping | None = None) -> PoseRecord:
+def _record_from(
+    obj: Mapping,
+    line: int,
+    points: Mapping | None = None,
+    unchecked: _UncheckedPoses | None = None,
+) -> PoseRecord:
     """`parse_record`, with the inlier arrays already converted when
-    `points` maps each inlier key to its (n, 2) int64 array."""
+    `points` maps each inlier key to its (n, 2) int64 array.
+
+    With `unchecked`, the pose values get one exact-type check per list
+    here, and the record's poses wait there to be checked with the rest of
+    the file's; every other check runs as without it.
+    """
+    finite = unchecked is None
     if not isinstance(obj, Mapping):
         raise SchemaError(line=line, message="record must be a JSON object")
     query_id = _require(obj, "query_id", line)
@@ -247,8 +272,11 @@ def _record_from(obj: Mapping, line: int, points: Mapping | None = None) -> Pose
     num_correspondences = _as_int(
         _require(obj, "num_correspondences", line), "num_correspondences", line, 0
     )
-    rotation = _as_real_list(_require(obj, "rotation", line), 9, "rotation", line)
-    translation = _as_real_list(_require(obj, "translation", line), 3, "translation", line)
+    rotation = _as_real_list(_require(obj, "rotation", line), 9, "rotation", line, finite)
+    translation = _as_real_list(
+        _require(obj, "translation", line), 3, "translation", line, finite
+    )
+    values = rotation + translation
 
     has_gt_rot = "gt_rotation" in obj
     has_gt_trans = "gt_translation" in obj
@@ -260,11 +288,10 @@ def _record_from(obj: Mapping, line: int, points: Mapping | None = None) -> Pose
         )
     ground_truth = None
     if has_gt_rot:
-        ground_truth = _pose_from_lists(
-            _as_real_list(obj["gt_rotation"], 9, "gt_rotation", line),
-            _as_real_list(obj["gt_translation"], 3, "gt_translation", line),
-            line,
-        )
+        gt_rotation = _as_real_list(obj["gt_rotation"], 9, "gt_rotation", line, finite)
+        gt_translation = _as_real_list(obj["gt_translation"], 3, "gt_translation", line, finite)
+        ground_truth = _pose_from_lists(gt_rotation, gt_translation, line, unchecked)
+        values += gt_rotation + gt_translation
 
     pv_score = None
     if obj.get("pv_score") is not None:
@@ -275,13 +302,13 @@ def _record_from(obj: Mapping, line: int, points: Mapping | None = None) -> Pose
             _inlier_points(obj, "query_inliers", line, points), query_dims
         )
         db_inliers = InlierSet(_inlier_points(obj, "db_inliers", line, points), db_dims)
-        return PoseRecord(
+        record = PoseRecord(
             query_id=query_id,
             candidate_rank=candidate_rank,
             query_inliers=query_inliers,
             db_inliers=db_inliers,
             num_correspondences=num_correspondences,
-            estimated_pose=_pose_from_lists(rotation, translation, line),
+            estimated_pose=_pose_from_lists(rotation, translation, line, unchecked),
             ground_truth_pose=ground_truth,
             pv_score=pv_score,
         )
@@ -289,6 +316,9 @@ def _record_from(obj: Mapping, line: int, points: Mapping | None = None) -> Pose
         if exc.line is None:
             raise InvariantViolation(exc.description, line=line) from None
         raise
+    if unchecked is not None:
+        unchecked.add(record, values, line)
+    return record
 
 
 def _refuse_constant(token: str):
@@ -355,32 +385,80 @@ def _decode_with_inliers(raw: str) -> tuple[dict, dict] | None:
     return obj, {key: _points_from_text(m.group(1)) for key, m in zip(_INLIER_KEYS, matches)}
 
 
+class _UncheckedPoses:
+    """The poses of a file's records, made without their values, which wait
+    here in one flat buffer until `check` validates them all at once."""
+
+    def __init__(self):
+        self.values = array("d")  # per pose, 9 rotation then 3 translation values
+        self.records: list[PoseRecord] = []
+        self.lines: list[int] = []
+
+    def add(self, record: PoseRecord, values: list, line: int) -> None:
+        # `fromlist` leaves the buffer as it was when a value does not
+        # convert (an integer past the float range raises OverflowError)
+        self.values.fromlist(values)
+        self.records.append(record)
+        self.lines.append(line)
+
+    def check(self) -> None:
+        """Give each pose its arrays, rows of one (n, 12) array, once
+        `refused_poses` passes them all; a refused pose fails its line as
+        `parse_record` fails it."""
+        rows = np.frombuffer(self.values).reshape(-1, 12)
+        rotations, translations = rows[:, :9].reshape(-1, 3, 3), rows[:, 9:]
+        refused = refused_poses(rotations, translations).tolist()
+        row = 0
+        for record, line in zip(self.records, self.lines):
+            for pose in (record.estimated_pose, record.ground_truth_pose):
+                if pose is None:
+                    continue
+                if refused[row]:  # alone, the row is refused as in the batch
+                    parse_record(_DECODER.decode(record.source), line)
+                object.__setattr__(pose, "rotation", rotations[row])
+                object.__setattr__(pose, "translation", translations[row])
+                row += 1
+
+
 def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
     """Parse newline-delimited JSON records; blank lines are skipped.
 
     Each record keeps its line, without the surrounding JSON whitespace, as
-    its `source`.  Any failure carries the 1-based line number it occurred on.
-    A line whose inlier arrays are plain `[[x,y],...]` text has each array
-    converted from that text (`_decode_with_inliers`); every other line is
-    decoded whole, so its errors are those of `parse_record`.
+    its `source`.  Any failure carries the 1-based line number it occurred on,
+    and the first failure in line order is raised, with the type, field and
+    message `parse_record` gives that line.  A line whose inlier arrays are
+    plain `[[x,y],...]` text has each array converted from that text
+    (`_decode_with_inliers`); every other line is decoded whole.  The poses
+    of the whole file are validated together, with one `refused_poses` call;
+    a line that fails any other check is read again by `parse_record` once
+    the poses of the lines before it have passed.
     """
     records = []
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        decoded = _decode_with_inliers(raw)
-        if decoded is not None:
-            obj, points = decoded
-        else:
-            points = None
+    unchecked = _UncheckedPoses()
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            if not raw.strip():
+                continue
+            decoded = _decode_with_inliers(raw)
+            if decoded is not None:
+                obj, points = decoded
+            else:
+                points = None
+                try:
+                    obj = _DECODER.decode(raw)
+                except ValueError as exc:  # not JSON, a NaN/Infinity token, or an integer too long
+                    message = getattr(exc, "msg", exc)
+                    raise SchemaError(line=line_no, message=f"invalid JSON: {message}") from None
             try:
-                obj = _DECODER.decode(raw)
-            except ValueError as exc:  # not JSON, a NaN/Infinity token, or an integer too long
-                message = getattr(exc, "msg", exc)
-                raise SchemaError(line=line_no, message=f"invalid JSON: {message}") from None
-        record = _record_from(obj, line_no, points)
-        object.__setattr__(record, "source", raw.strip(" \t\r\n"))
-        records.append(record)
+                record = _record_from(obj, line_no, points, unchecked)
+            except (PoseconfError, OverflowError):  # the per-record checks name the fault
+                record = _record_from(obj, line_no, points)
+            object.__setattr__(record, "source", raw.strip(" \t\r\n"))
+            records.append(record)
+    except Exception:  # any error, one from reading the file too, comes after
+        unchecked.check()  # a bad pose on an earlier line
+        raise
+    unchecked.check()
     return records
 
 
@@ -471,17 +549,33 @@ def _record_json(record: PoseRecord, extra: Mapping | None) -> str:
     return "{" + ",".join(parts) + "}"
 
 
+def _names_a_key(source: str, keys: Iterable[str]) -> bool:
+    """Whether the JSON object `source` holds one of `keys` at its top level."""
+    if "\\" not in source and not any(f'"{key}"' in source for key in keys):
+        return False  # without escapes, a key's name is in the text as it is
+    return not _DECODER.decode(source).keys().isdisjoint(keys)
+
+
 def record_lines(
     records: Sequence[PoseRecord], extras: Sequence[Mapping] | None = None
 ) -> Iterator[str]:
-    """One JSON line per record: its source line when it was parsed and gets
-    no extra fields, else the compact encoding of `serialize_record`."""
+    """One JSON line per record.
+
+    A parsed record is written as its source line, with the extra fields
+    appended through the strict, compact encoder, so unknown keys, key order
+    and spacing survive.  A record without a source (built, not parsed), or
+    one whose source already names an extra key, gets the compact encoding
+    of `serialize_record` instead.
+    """
     for i, record in enumerate(records):
         extra = extras[i] if extras is not None else None
-        if record.source is not None and not extra:
-            yield record.source
-        else:
+        source = record.source
+        if source is None or (extra and _names_a_key(source, extra)):
             yield _record_json(record, extra)
+        elif extra:
+            yield source[:-1] + "," + _ENCODER.encode(dict(extra))[1:]
+        else:
+            yield source
 
 
 def write_records(

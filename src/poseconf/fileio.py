@@ -44,11 +44,17 @@ def atomic_open(path: str | os.PathLike, mode: str = "w", **kwargs) -> Iterator[
         raise
 
 
-def check_writable(*paths: str | os.PathLike) -> None:
+def check_writable(*paths: str | os.PathLike, make_dirs: bool = False) -> None:
     """Raise an OSError for a path `atomic_open` cannot write (no directory
-    to hold it, or a directory at it), before a command writes any output."""
+    to hold it, or a directory at it), before a command writes any output.
+
+    With `make_dirs`, the caller makes the missing directories first
+    (`os.makedirs`), so the nearest one that exists must be a directory.
+    """
     for path in map(os.fspath, paths):
         head = os.path.dirname(path) or "."
+        while make_dirs and not os.path.lexists(head):
+            head = os.path.dirname(head) or "."
         if not os.path.isdir(head):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), head)
         if os.path.isdir(path):

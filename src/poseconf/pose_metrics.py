@@ -33,14 +33,13 @@ class Pose:
             raise InvariantViolation(
                 f"translation must be a 3-vector, got shape {trans.shape}"
             )
-        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(trans))):
-            raise InvariantViolation("pose contains non-finite values")
-        deviation = float(np.max(np.abs(rot.T @ rot - np.eye(3))))
-        det = float(np.linalg.det(rot))
-        if deviation > ORTHONORMALITY_TOL or abs(det - 1.0) > ORTHONORMALITY_TOL:
+        if refused_poses(rot[None], trans[None])[0]:
+            if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(trans))):
+                raise InvariantViolation("pose contains non-finite values")
+            deviation, det = _orthonormality(rot[None])
             raise InvariantViolation(
                 "rotation is not orthonormal with det +1 "
-                f"(max |R^T R - I| = {deviation:.3g}, det = {det:.9f})"
+                f"(max |R^T R - I| = {deviation[0]:.3g}, det = {det[0]:.9f})"
             )
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", trans)
@@ -55,6 +54,37 @@ class Pose:
         return np.array_equal(self.rotation, other.rotation) and np.array_equal(
             self.translation, other.translation
         )
+
+
+_IDENTITY = np.eye(3)
+
+
+@np.errstate(all="ignore")  # as a decorator it costs less per call than a with block
+def _orthonormality(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max |R^T R - I| and det R of each rotation of an (n, 3, 3) stack.
+
+    Products of huge or non-finite values overflow without a warning: the
+    row is refused for them, or reads NaN, which no tolerance test refuses.
+    """
+    gram = np.matmul(rotations.transpose(0, 2, 1), rotations)
+    return np.maximum.reduce(np.abs(gram - _IDENTITY), axis=(1, 2)), np.linalg.det(rotations)
+
+
+def refused_poses(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+    """Which of n poses `Pose` refuses, as a bool (n,) mask, for float64
+    rotations (n, 3, 3) and translations (n, 3), with one set of numpy calls.
+
+    A pose is refused when a value is not finite, or when its rotation is
+    not orthonormal with det +1 to ORTHONORMALITY_TOL.  A row's outcome does
+    not depend on the other rows, so a file's poses are checked at once.
+    """
+    deviation, det = _orthonormality(rotations)
+    # fmax skips a NaN: a NaN deviation refuses nothing, as a NaN det does not
+    out_of_tolerance = np.fmax(deviation, np.abs(det - 1.0)) > ORTHONORMALITY_TOL
+    finite = np.logical_and.reduce(np.isfinite(rotations), axis=(1, 2)) & np.logical_and.reduce(
+        np.isfinite(translations), axis=1
+    )
+    return out_of_tolerance | ~finite
 
 
 @dataclass(frozen=True)

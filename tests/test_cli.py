@@ -377,23 +377,50 @@ class TestScore:
             assert 0.0 < json.loads(line)["confidence"] < 1.0
 
     def test_output_is_canonical_with_confidence_last(self, workspace, tmp_path):
+        # a line is written back as it was read, unknown keys, key order and
+        # spacing included, with confidence appended last
         lines = workspace["test"].read_text().splitlines()
         data = tmp_path / "loose.jsonl"
-        data.write_text("".join(
-            json.dumps(dict(reversed(json.loads(line).items()), note=1)) + "\n"
-            for line in lines
-        ))
+        loose = [json.dumps(dict(reversed(json.loads(line).items()), note=1)) for line in lines]
+        data.write_text("".join(line + "\n" for line in loose))
         out = tmp_path / "scored.jsonl"
         code = main(["score", "--data", str(data),
                      "--model", str(workspace["model"]), "--out", str(out)])
         assert code == 0
         scored = out.read_text().splitlines()
         assert len(scored) == len(lines)
-        for line, record in zip(scored, read_records(data)):
+        for line, source in zip(scored, loose):
             obj = json.loads(line)
-            assert list(obj)[-1] == "confidence"
-            expected = serialize_record(record, {"confidence": obj["confidence"]})
+            assert list(obj) == [*json.loads(source), "confidence"]
+            confidence = json.dumps({"confidence": obj["confidence"]}, separators=(",", ":"))
+            assert line == source[:-1] + "," + confidence[1:]
+
+    def test_canonical_input_gives_the_canonical_encoding(self, workspace, tmp_path):
+        out = tmp_path / "scored.jsonl"
+        code = main(["score", "--data", str(workspace["test"]),
+                     "--model", str(workspace["model"]), "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        records = read_records(workspace["test"])
+        assert len(lines) == len(records)
+        for line, record in zip(lines, records):
+            expected = serialize_record(record, {"confidence": json.loads(line)["confidence"]})
             assert line == json.dumps(expected, separators=(",", ":"))
+
+    def test_rescoring_leaves_one_confidence_last(self, workspace, tmp_path):
+        data = tmp_path / "stale.jsonl"
+        data.write_text("".join(
+            json.dumps({**json.loads(line), "confidence": 2.0, "note": 1}) + "\n"
+            for line in workspace["test"].read_text().splitlines()
+        ))
+        out = tmp_path / "scored.jsonl"
+        code = main(["score", "--data", str(data),
+                     "--model", str(workspace["model"]), "--out", str(out)])
+        assert code == 0
+        for line in out.read_text().splitlines():
+            assert line.count('"confidence"') == 1
+            obj = json.loads(line)
+            assert list(obj)[-1] == "confidence" and 0.0 < obj["confidence"] < 1.0
 
     def test_out_of_range_coordinate_is_a_one_line_error(self, workspace, tmp_path, capsys):
         obj = serialize_record(make_record())
@@ -630,6 +657,8 @@ class TestEval:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["degenerate"] is True
         assert report["model_auc"] is None
+        manifest = json.loads((out_dir / "manifest.json").read_text())  # what was written
+        assert manifest["outputs"] == [str(out_dir / n) for n in ("thresholds.csv", "report.json")]
 
     def test_single_class_ablation_rows_are_degenerate(self, workspace, tmp_path, capsys):
         # the training split has both labels; only the test labeling is single-class
@@ -645,6 +674,9 @@ class TestEval:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["degenerate"] is True
         assert report["ablation"] == [{"features": ["inlier_count"], "auc": None}]
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        written = ("thresholds.csv", "ablation.csv", "report.json")
+        assert manifest["outputs"] == [str(out_dir / n) for n in written]
 
     def test_garbled_thresholds_are_a_config_error(self, workspace, tmp_path):
         code = main(["eval", "--data", str(workspace["test"]),

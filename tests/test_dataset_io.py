@@ -1,5 +1,6 @@
 """Tests for record parsing, serialization, splitting, and the generator."""
 
+import copy
 import dataclasses
 import json
 import random
@@ -400,12 +401,33 @@ class TestSourcePassThrough:
         assert record == parse_record(json.loads(self.LINE))
         assert self.LINE not in repr(record)
 
-    def test_extras_re_encode_canonically(self):
+    def test_extras_are_appended_to_the_source(self):
         (record,) = parse_records([self.LINE])
+        (line,) = record_lines([record], extras=[{"confidence": 0.25, "tag": "x"}])
+        assert line == self.LINE[:-1] + ',"confidence":0.25,"tag":"x"}'
+        assert json.loads(line) == {**json.loads(self.LINE), "confidence": 0.25, "tag": "x"}
+
+    @pytest.mark.parametrize("key", ['"confidence"', r'"confid\u0065nce"'])
+    def test_a_source_naming_an_extra_key_re_encodes_canonically(self, key):
+        (record,) = parse_records([self.LINE.replace('"note"', key + ': 0.9, "note"')])
         (line,) = record_lines([record], extras=[{"confidence": 0.25}])
         assert line == self.canonical(record, {"confidence": 0.25})
+        # one confidence, the new one, last
+        assert line.count("confidence") == 1
         assert list(json.loads(line))[-1] == "confidence"
-        assert "note" not in json.loads(line)
+        assert json.loads(line)["confidence"] == 0.25
+
+    def test_a_key_named_only_below_the_top_level_is_appended(self):
+        source = self.LINE.replace('"kept"', '"confidence", "extra": {"confidence": 1}')
+        (record,) = parse_records([source])
+        (line,) = record_lines([record], extras=[{"confidence": 0.25}])
+        assert line == source[:-1] + ',"confidence":0.25}'
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_extras_are_not_appended(self, value):
+        (record,) = parse_records([self.LINE])
+        with pytest.raises(ValueError):
+            list(record_lines([record], extras=[{"confidence": value}]))
 
     def test_replaced_record_re_encodes(self):
         (record,) = parse_records([self.LINE])
@@ -478,6 +500,40 @@ def test_record_lines_match_the_reference_encoding(record, extra):
     assert list(json.loads(line)) == schema + [k for k in extra or {} if k not in schema]
 
 
+@st.composite
+def source_lines(draw):
+    """A valid record line in any key order, compact or spaced, with unknown
+    keys, some named like an extra, and escapes in some string values."""
+    doc = dict(draw(st.sampled_from(RECORD_DOCS), label="record"))
+    doc.update(
+        draw(
+            st.dictionaries(
+                st.sampled_from(["note", "confidence", "extra", "r\u00e9sum\u00e9"]),
+                json_values | st.just({"confidence": 1}) | st.just("confidence"),
+                max_size=3,
+            ),
+            label="unknown keys",
+        )
+    )
+    doc = {key: doc[key] for key in draw(st.permutations(list(doc)), label="key order")}
+    separators = draw(st.sampled_from([None, (",", ":"), (" ,", " : ")]), label="spacing")
+    return json.dumps(doc, separators=separators, ensure_ascii=draw(st.booleans(), label="ascii"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=source_lines(), extra=record_extras)
+def test_record_lines_append_extras_to_the_source(source, extra):
+    (record,) = parse_records([source])
+    (line,) = record_lines([record], [extra])
+    if not extra:
+        assert line == source
+    elif json.loads(source).keys().isdisjoint(extra):
+        assert line == source[:-1] + "," + compact(extra)[1:]
+        assert json.loads(line) == {**json.loads(source), **extra}
+    else:
+        assert line == TestSourcePassThrough.canonical(record, extra)
+
+
 def _refuse_constant(token):
     raise ValueError(f"non-standard token {token}")
 
@@ -514,13 +570,18 @@ def assert_reads_like_the_reference(lines):
     if isinstance(expected, tuple):
         assert got == expected
         return
-    assert got == expected  # every field, the inlier arrays included
+    assert got == expected  # every field, the inlier arrays and poses included
     for mine, theirs in zip(got, expected):
         assert mine.source == theirs.source
         for side in ("query_inliers", "db_inliers"):
             points = getattr(mine, side).points
             assert points.dtype == np.int64
             assert points.shape == getattr(theirs, side).points.shape
+        for side in ("estimated_pose", "ground_truth_pose"):
+            pose = getattr(mine, side)
+            if pose is not None:
+                assert pose.rotation.dtype == pose.translation.dtype == np.float64
+                assert (pose.rotation.shape, pose.translation.shape) == ((3, 3), (3,))
 
 
 def compact(doc):
@@ -546,16 +607,100 @@ def test_synth_lines_take_the_text_conversion():
     assert any(r.inlier_count == 0 for r in parse_records(SYNTH_LINES))  # empty arrays too
 
 
+# factors around 1 that put a deviation from an orthonormal rotation just
+# below or just above ORTHONORMALITY_TOL
+NEAR_THE_TOLERANCE = [0.99, 0.999, 1.001, 1.01]
+INF = "a 1e999 entry"  # json writes no inf, so the text gets it afterwards
+POSE_DAMAGE = {  # a damaged copy of rotation r, given a factor f
+    "skew": lambda r, f: r + [[0, 0.1, 0], [0, 0, 0], [0, 0, 0]],
+    "reflection": lambda r, f: -r,
+    # det stays 1, max |R^T R - I| is about 1e-6 times f
+    "columns": lambda r, f: r * [1 + 5e-7 * f, 1 / (1 + 5e-7 * f), 1],
+    # max |R^T R - I| is about 0.67e-6, |det R - 1| about 1e-6 times f
+    "scale": lambda r, f: r * (1 + 1e-6 / 3 * f),
+}
+BAD_ENTRIES = {"1e999": INF, "past the float range": 2**1100, "bool": True, "string": "1"}
+
+
+def damage_pose(doc, data):
+    """A copy of a record document with one of its poses damaged."""
+    doc = copy.deepcopy(doc)
+    prefix = data.draw(st.sampled_from(["", "gt_"]), label="pose")
+    damage = data.draw(st.sampled_from([*POSE_DAMAGE, *BAD_ENTRIES, "half"]), label="damage")
+    if damage == "half":  # a ground truth rotation without its translation, or the reverse
+        del doc["gt_" + data.draw(st.sampled_from(["rotation", "translation"]), label="kept")]
+    elif damage in BAD_ENTRIES:
+        values = doc[prefix + data.draw(st.sampled_from(["rotation", "translation"]), label="of")]
+        values[data.draw(st.integers(0, len(values) - 1), label="entry")] = BAD_ENTRIES[damage]
+    else:
+        rotation = np.asarray(doc[prefix + "rotation"]).reshape(3, 3)
+        factor = data.draw(st.sampled_from(NEAR_THE_TOLERANCE), label="factor")
+        doc[prefix + "rotation"] = POSE_DAMAGE[damage](rotation, factor).ravel().tolist()
+    return doc
+
+
+def record_text(doc, data):
+    text = json.dumps(doc) if data.draw(st.booleans(), label="spaced") else compact(doc)
+    return text.replace(json.dumps(INF), "1e999")
+
+
+def test_pose_damage_reaches_both_sides_of_the_tolerance():
+    doc = RECORD_DOCS[0]
+    rotation = np.asarray(doc["rotation"]).reshape(3, 3)
+    for damage in ("columns", "scale"):
+        outcomes = []
+        for factor in NEAR_THE_TOLERANCE:
+            damaged = POSE_DAMAGE[damage](rotation, factor).ravel().tolist()
+            line = compact({**doc, "rotation": damaged})
+            outcomes.append(isinstance(reader_outcome(reference_records, [line]), list))
+        assert outcomes == [True, True, False, False]
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_reader_matches_the_whole_line_decoder(data):
     lines = data.draw(st.lists(st.sampled_from(SYNTH_LINES), max_size=3), label="synth")
-    for _ in range(data.draw(st.integers(0, 2), label="mutated")):
-        doc = mutate(data.draw(st.sampled_from(RECORD_DOCS), label="record"), data)
-        spaced = data.draw(st.booleans(), label="spaced")
-        lines.append(json.dumps(doc) if spaced else compact(doc))
+    for _ in range(data.draw(st.integers(0, 3), label="mutated")):
+        doc = data.draw(st.sampled_from(RECORD_DOCS), label="record")
+        damage = data.draw(st.sampled_from([mutate, damage_pose]), label="mutation")
+        lines.append(record_text(damage(doc, data), data))
     lines = data.draw(st.permutations(lines), label="order")
     assert_reads_like_the_reference([line + "\n" for line in lines])
+
+
+@pytest.mark.parametrize("pose_first", [True, False], ids=["pose-first", "schema-first"])
+@pytest.mark.parametrize("damage", ["reflection", "1e999"])
+def test_the_first_bad_line_fails_first(pose_first, damage):
+    doc = RECORD_DOCS[1]
+    if damage == "1e999":
+        bad_pose = compact({**doc, "gt_translation": [0.0, INF, 0.0]})
+        bad_pose = bad_pose.replace(json.dumps(INF), "1e999")
+    else:
+        bad_pose = compact({**doc, "rotation": [-v for v in doc["rotation"]]})
+    bad_schema = compact({k: v for k, v in doc.items() if k != "num_correspondences"})
+    first, second = (bad_pose, bad_schema) if pose_first else (bad_schema, bad_pose)
+    lines = [SYNTH_LINES[0], first, "", SYNTH_LINES[1], second]
+    assert_reads_like_the_reference(lines)
+    error = reader_outcome(parse_records, lines)
+    assert error[1] == 2
+    if pose_first and damage == "reflection":
+        assert error[0] is InvariantViolation and "det" in error[3]
+    elif pose_first:
+        assert error[:3] == (SchemaError, 2, "gt_translation") and error[3].endswith("got inf")
+    else:
+        assert error[:3] == (SchemaError, 2, "num_correspondences")
+
+
+def test_a_bad_pose_fails_before_a_later_undecodable_byte(tmp_path):
+    doc = RECORD_DOCS[0]
+    bad_pose = compact({**doc, "rotation": [-v for v in doc["rotation"]]})
+    text = "".join(line + "\n" for line in [bad_pose, *[SYNTH_LINES[0]] * 50]).encode()
+    assert len(text) > 2 * 8192  # the bad byte is past the first chunk the reader decodes
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(text + b"\xff\n")
+    with pytest.raises(InvariantViolation) as info:
+        read_records(path)
+    assert info.value.line == 1
 
 
 # one-pixel-high images 2**62 wide, so 18- and 19-digit coordinates fit

@@ -236,6 +236,11 @@ def _workspace(root):
     (root / "in" / "data.jsonl").write_bytes(RUN_DATA)
     (root / "in" / "train.jsonl").write_bytes(RUN_DATA)
     (root / "in" / "model.json").write_bytes(RUN_MODEL)
+    os.link(root / "in" / "data.jsonl", root / "in" / "data-link.jsonl")
+    # record files at the names eval and rerank write in their --out-dir
+    for name in ("eval/report.json", "rerank/selections.jsonl"):
+        (root / "out" / name).parent.mkdir()
+        (root / "out" / name).write_bytes(RUN_DATA)
 
 
 def _argv(command, root, flag=None, value=None):
@@ -267,17 +272,27 @@ def _fails_on_one_line(argv, root, capsys):
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_unmutated_commands_succeed(tmp_path, capsys, command):
     _workspace(tmp_path)
+    before = _tree(tmp_path)
     assert main(_argv(command, tmp_path)) == 0
     assert capsys.readouterr().err == ""
-    assert list((tmp_path / "out").iterdir())
+    assert set(_tree(tmp_path)) > set(before)  # new output files
 
 
-# two of train's outputs naming one file: a usage error, found before --data is read
+# an output naming the same file as another output or an input: a usage
+# error, found before any input is read (synth reads none)
 SAME_FILE_CASES = [
     ("train", "--test-out", "{root}/out/model.json"),
     ("train", "--train-out", "{root}/out/test.jsonl"),
     ("train", "--out", "{root}/out/../out/train.jsonl"),
     ("train", "--test-out", "{root}/out/model.json.manifest.json"),
+    ("train", "--out", "{root}/in/data.jsonl"),
+    ("train", "--test-out", "{root}/in/../in/data.jsonl"),
+    ("score", "--out", "{root}/in/model.json"),
+    ("score", "--out", "{root}/in/data.jsonl"),
+    ("score", "--out", "{root}/in/data-link.jsonl"),  # a hard link to --data
+    ("eval", "--train-data", "{root}/out/eval/report.json"),
+    ("eval", "--data", "{root}/out/eval/manifest.json"),
+    ("rerank", "--data", "{root}/out/rerank/selections.jsonl"),
 ]
 
 FLAG_CASES = [

@@ -1,5 +1,7 @@
 """Tests for atomic output writes."""
 
+import os
+
 import pytest
 
 from poseconf.fileio import atomic_open, check_writable
@@ -61,3 +63,27 @@ def test_check_writable_refuses_what_atomic_open_would(tmp_path, name, error):
             with atomic_open(tmp_path / name, "w", encoding="utf-8") as fh:
                 fh.write("line\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "name, error",
+    [("new/deeper/out.json", None), ("folder/new/out.json", None),
+     ("plain/new/out.json", NotADirectoryError), ("folder", IsADirectoryError)],
+    ids=["missing-directories", "missing-below-a-directory", "file-in-the-way", "directory"],
+)
+def test_check_writable_with_make_dirs_takes_directories_makedirs_makes(tmp_path, name, error):
+    (tmp_path / "plain").write_text("")
+    (tmp_path / "folder").mkdir()
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    if error is None:
+        check_writable(tmp_path / name, make_dirs=True)
+        with pytest.raises(NotADirectoryError):
+            check_writable(tmp_path / name)
+    else:
+        with pytest.raises(error):
+            check_writable(tmp_path / name, make_dirs=True)
+        with pytest.raises(OSError):
+            os.makedirs((tmp_path / name).parent, exist_ok=True)
+            with atomic_open(tmp_path / name, "w", encoding="utf-8") as fh:
+                fh.write("line\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before

@@ -15,6 +15,7 @@ from poseconf.pose_metrics import (
     PoseError,
     is_correct,
     pose_error,
+    refused_poses,
     rotation_error,
     translation_error,
 )
@@ -44,6 +45,14 @@ class TestPoseValidation:
         with pytest.raises(InvariantViolation):
             Pose(rot, np.zeros(3))
 
+    @pytest.mark.parametrize("value", [1e200, -1e300])
+    def test_huge_entries_are_refused_without_a_warning(self, value):
+        # R^T R overflows; a RuntimeWarning would fail the test
+        rot = np.eye(3)
+        rot[0, 1] = value
+        with pytest.raises(InvariantViolation, match="not orthonormal"):
+            Pose(rot, np.zeros(3))
+
     def test_accepts_rotation_within_tolerance(self):
         # orthonormal up to ~1e-8 noise, well inside the 1e-6 tolerance
         rot = rotation_about((1.0, 2.0, 3.0), 37.0)
@@ -57,6 +66,56 @@ class TestPoseValidation:
         assert a == b
         assert a != c
         assert a != "not a pose"
+
+
+def refused_one_by_one(rotation, translation):
+    """The per-pose check `Pose` ran before `refused_poses`, the reference."""
+    if not (np.all(np.isfinite(rotation)) and np.all(np.isfinite(translation))):
+        return True
+    with np.errstate(all="ignore"):
+        deviation = float(np.max(np.abs(rotation.T @ rotation - np.eye(3))))
+        det = float(np.linalg.det(rotation))
+    return deviation > 1e-6 or abs(det - 1.0) > 1e-6
+
+
+@st.composite
+def pose_stacks(draw):
+    """Rotations near, at and beyond the tolerance, reflections, and huge or
+    non-finite entries, with translations that may hold one too."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rotations = np.stack([random_rotation(rng) for _ in range(n)])
+    noise = st.sampled_from([0, 3e-7, 5e-7, 1e-6, 2e-6, 1e-3])
+    scales = draw(st.lists(noise, min_size=n, max_size=n))
+    rotations += rng.normal(size=(n, 3, 3)) * np.asarray(scales)[:, None, None]
+    translations = rng.normal(size=(n, 3)) * 10
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 8))
+        value = draw(st.sampled_from([np.inf, -np.inf, np.nan, 1e200, -1e308, -1.0]))
+        if j < 9:
+            rotations[i].flat[j] = value if value != -1.0 else -rotations[i].flat[j]
+        else:
+            translations[i, 0] = value
+    if draw(st.booleans()):
+        rotations[0] *= -1  # a reflection
+    return rotations, translations
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=pose_stacks())
+def test_refused_poses_is_the_per_pose_check_row_by_row(stack):
+    rotations, translations = stack
+    expected = [refused_one_by_one(r, t) for r, t in zip(rotations, translations)]
+    assert refused_poses(rotations, translations).tolist() == expected
+    # rows inside a wider buffer, as the reader holds them
+    rows = np.concatenate([rotations.reshape(-1, 9), translations], axis=1)
+    assert refused_poses(rows[:, :9].reshape(-1, 3, 3), rows[:, 9:]).tolist() == expected
+    for r, t, refused in zip(rotations, translations, expected):
+        if refused:
+            with pytest.raises(InvariantViolation):
+                Pose(r, t)
+        else:
+            Pose(r, t)
 
 
 class TestCameraCenter:
