@@ -224,11 +224,7 @@ def _as_point_list(value, field: str, line: int) -> np.ndarray:
     return points
 
 
-def _pose_from_lists(
-    rotation: list[float], translation: list[float], line: int, unchecked: _UncheckedPoses | None
-) -> Pose:
-    if unchecked is not None:
-        return object.__new__(Pose)  # `unchecked.check` gives it its values
+def _pose_from_lists(rotation: list[float], translation: list[float], line: int) -> Pose:
     matrix = np.asarray(rotation, dtype=np.float64).reshape(3, 3)  # row-major
     try:
         return Pose(matrix, np.asarray(translation, dtype=np.float64))
@@ -260,7 +256,7 @@ def _record_from(
     here, and the record's poses wait there to be checked with the rest of
     the file's; every other check runs as without it.
     """
-    finite = unchecked is None
+    finite = unchecked is None  # without a batch, each pose is checked here
     if not isinstance(obj, Mapping):
         raise SchemaError(line=line, message="record must be a JSON object")
     query_id = _require(obj, "query_id", line)
@@ -276,7 +272,6 @@ def _record_from(
     translation = _as_real_list(
         _require(obj, "translation", line), 3, "translation", line, finite
     )
-    values = rotation + translation
 
     has_gt_rot = "gt_rotation" in obj
     has_gt_trans = "gt_translation" in obj
@@ -290,8 +285,10 @@ def _record_from(
     if has_gt_rot:
         gt_rotation = _as_real_list(obj["gt_rotation"], 9, "gt_rotation", line, finite)
         gt_translation = _as_real_list(obj["gt_translation"], 3, "gt_translation", line, finite)
-        ground_truth = _pose_from_lists(gt_rotation, gt_translation, line, unchecked)
-        values += gt_rotation + gt_translation
+        ground_truth = (
+            _pose_from_lists(gt_rotation, gt_translation, line) if finite
+            else object.__new__(Pose)  # `unchecked.check` gives it its values
+        )
 
     pv_score = None
     if obj.get("pv_score") is not None:
@@ -308,7 +305,10 @@ def _record_from(
             query_inliers=query_inliers,
             db_inliers=db_inliers,
             num_correspondences=num_correspondences,
-            estimated_pose=_pose_from_lists(rotation, translation, line, unchecked),
+            estimated_pose=(
+                _pose_from_lists(rotation, translation, line) if finite
+                else object.__new__(Pose)
+            ),
             ground_truth_pose=ground_truth,
             pv_score=pv_score,
         )
@@ -316,7 +316,10 @@ def _record_from(
         if exc.line is None:
             raise InvariantViolation(exc.description, line=line) from None
         raise
-    if unchecked is not None:
+    if not finite:
+        values = rotation + translation
+        if ground_truth is not None:
+            values += gt_rotation + gt_translation
         unchecked.add(record, values, line)
     return record
 

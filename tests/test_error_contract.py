@@ -237,10 +237,6 @@ def _workspace(root):
     (root / "in" / "train.jsonl").write_bytes(RUN_DATA)
     (root / "in" / "model.json").write_bytes(RUN_MODEL)
     os.link(root / "in" / "data.jsonl", root / "in" / "data-link.jsonl")
-    # record files at the names eval and rerank write in their --out-dir
-    for name in ("eval/report.json", "rerank/selections.jsonl"):
-        (root / "out" / name).parent.mkdir()
-        (root / "out" / name).write_bytes(RUN_DATA)
 
 
 def _argv(command, root, flag=None, value=None):
@@ -376,6 +372,20 @@ def test_bad_flag_fails_on_one_line(tmp_path, capsys, case):
     code, _ = _fails_on_one_line(_argv(command, tmp_path, flag, value), tmp_path, capsys)
     if case in SAME_FILE_CASES:
         assert code == 2
+
+
+# an earlier run's output, named as an input of the next run into that --out-dir
+@pytest.mark.parametrize("command, flag, name", [
+    ("eval", "--train-data", "report.json"),
+    ("rerank", "--data", "selections.jsonl"),
+])
+def test_an_earlier_output_is_not_an_input(tmp_path, capsys, command, flag, name):
+    _workspace(tmp_path)
+    assert main(_argv(command, tmp_path)) == 0
+    capsys.readouterr()
+    argv = _argv(command, tmp_path, flag, f"{tmp_path}/out/{command}/{name}")
+    code, _ = _fails_on_one_line(argv, tmp_path, capsys)
+    assert code == 2
 
 
 def _on_line_3(text):
