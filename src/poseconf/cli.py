@@ -224,8 +224,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     files = _Files({"--data": args.data, "--model": args.model}, {"--out": args.out})
     model = load_model(args.model)
     records = read_records(args.data)
-    extras = [{"confidence": c} for c in score_records(model, records).tolist()]
-    write_records(records, args.out, extras)
+    write_records(records, args.out, score_records(model, records).tolist())
     files.write_manifest("score", args, started)
     print(f"scored {len(records)} records to {args.out}")
     return 0
@@ -241,8 +240,8 @@ def _leave_one_out_subsets(feature_set: tuple[str, ...]) -> list[tuple[str, ...]
 
 def cmd_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    if args.ablate and not args.train_data:
-        raise InvalidConfig("--ablate requires --train-data")
+    if args.ablate != bool(args.train_data):  # each one is read only with the other
+        raise InvalidConfig("--ablate and --train-data are given together or not at all")
     files = _Files(
         {"--data": args.data, "--model": args.model, "--train-data": args.train_data},
         ["pr_curves.csv", "pr_curves.svg", "thresholds.csv", *["ablation.csv"] * args.ablate,
@@ -412,9 +411,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     ]
 
     os.makedirs(args.out_dir, exist_ok=True)
-
-    extras = [{"confidence": scores[i]} for i in picks]
-    write_records(model_selected, paths["selections.jsonl"], extras)
+    write_records(model_selected, paths["selections.jsonl"], [scores[i] for i in picks])
 
     _write_csv(paths["accuracy.csv"], ["threshold_m", "model_accuracy", "max_inliers_accuracy"], [
         [repr(meters), repr(ours), repr(baseline)] for meters, ours, baseline in accuracy_rows

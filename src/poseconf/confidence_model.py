@@ -345,6 +345,17 @@ def to_json_dict(model: ConfidenceModel) -> dict:
     }
 
 
+def _model_numbers(value, field: str) -> np.ndarray:
+    """A list of JSON numbers, ints or floats but not booleans, as float64."""
+    if not (isinstance(value, list) and set(map(type, value)) <= {int, float}):
+        raise SchemaError(field=field, message="expected numbers (ints or floats)")
+    numbers = np.asarray(value, dtype=np.float64)  # OverflowError past the float range
+    # json reads NaN and Infinity, with which a model would score records as NaN
+    if not np.all(np.isfinite(numbers)):
+        raise SchemaError(field=field, message="model numbers must be finite")
+    return numbers
+
+
 def from_json_dict(obj: Mapping) -> ConfidenceModel:
     if not isinstance(obj, Mapping):
         raise SchemaError(message="model document must be a JSON object")
@@ -355,27 +366,22 @@ def from_json_dict(obj: Mapping) -> ConfidenceModel:
             message=f"unsupported model format_version {version!r}",
         )
     try:
-        feature_set = parse_feature_set(obj["feature_set"])
-        weights = np.asarray(obj["weights"], dtype=np.float64)
-        bias = float(obj["bias"])
-        means = np.asarray(obj["standardizer"]["means"], dtype=np.float64)
-        stds = np.asarray(obj["standardizer"]["stds"], dtype=np.float64)
-        # Python's json module reads NaN and Infinity; a model holding one
-        # would score records as NaN
-        for name, values in (
-            ("weights", weights),
-            ("bias", bias),
-            ("standardizer.means", means),
-            ("standardizer.stds", stds),
-        ):
-            if not np.all(np.isfinite(values)):
-                raise SchemaError(field=name, message="model numbers must be finite")
+        feature_set = obj["feature_set"]
+        if not (isinstance(feature_set, list) and set(map(type, feature_set)) <= {str}):
+            raise SchemaError(field="feature_set", message="expected a list of feature names")
+        weights = _model_numbers(obj["weights"], "weights")
+        (bias,) = _model_numbers([obj["bias"]], "bias")
+        means = _model_numbers(obj["standardizer"]["means"], "standardizer.means")
+        stds = _model_numbers(obj["standardizer"]["stds"], "standardizer.stds")
+        training_meta = obj.get("training_meta", {})
+        if not isinstance(training_meta, dict):
+            raise SchemaError(field="training_meta", message="expected an object")
         model = ConfidenceModel(
-            feature_set=feature_set,
+            feature_set=parse_feature_set(feature_set),
             weights=weights,
             bias=bias,
             standardizer=Standardizer(means, stds),
-            training_meta=dict(obj.get("training_meta", {})),
+            training_meta=dict(training_meta),
         )
         model.coverage_params()  # a corrupt entry fails here, not when scoring
     except KeyError as exc:

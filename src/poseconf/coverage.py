@@ -52,10 +52,12 @@ class CoverageParams:
     min_half_extent: int = 1
 
     def __post_init__(self):
-        fraction = self.neighborhood_fraction
-        if not (isinstance(fraction, numbers.Real) and 0 < fraction <= 1):
+        fraction, extent = self.neighborhood_fraction, self.min_half_extent
+        # a bool is a numbers.Integral, so each check refuses it by type
+        real = isinstance(fraction, numbers.Real) and not isinstance(fraction, bool)
+        if not (real and 0 < fraction <= 1):
             raise InvalidConfig("neighborhood_fraction must be in (0, 1]")
-        if not (isinstance(self.min_half_extent, numbers.Integral) and self.min_half_extent >= 1):
+        if isinstance(extent, bool) or not (isinstance(extent, numbers.Integral) and extent >= 1):
             raise InvalidConfig("min_half_extent must be an integer >= 1")
 
 

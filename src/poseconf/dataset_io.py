@@ -31,7 +31,6 @@ from .errors import (
     InvalidConfig,
     InvariantViolation,
     MissingGroundTruth,
-    PoseconfError,
     SchemaError,
     TooFewQueries,
 )
@@ -54,7 +53,7 @@ class PoseRecord:
     ground_truth_pose: Pose | None = None
     pv_score: float | None = None
     # the JSON text this record was parsed from; `record_lines` writes it back,
-    # extra fields appended.  Not an init field, so built or replaced records
+    # a confidence appended.  Not an init field, so built or replaced records
     # carry none.
     source: str | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -172,15 +171,12 @@ def _as_real(value, field: str, line: int) -> float:
     return out
 
 
-_REALS = {int, float}  # exact types: a bool is an int
-
-
-def _as_real_list(value, n: int, field: str, line: int, finite: bool = True) -> list:
-    """`n` reals; with `finite` False, a list of exact ints and floats is
-    returned as it is, and their conversion and finiteness are checked later."""
+def _as_real_list(value, n: int, field: str, line: int) -> list:
+    """`n` reals.  A list of exact ints and floats is returned as it is: the
+    pose batch (`_Poses`) converts it and checks that it is finite."""
     if not isinstance(value, list) or len(value) != n:
         raise SchemaError(line=line, field=field, message=f"expected a list of {n} numbers")
-    if not finite and set(map(type, value)) <= _REALS:
+    if set(map(type, value)) <= {int, float}:  # exact types: a bool is an int
         return value
     return [_as_real(v, field, line) for v in value]
 
@@ -224,39 +220,25 @@ def _as_point_list(value, field: str, line: int) -> np.ndarray:
     return points
 
 
-def _pose_from_lists(rotation: list[float], translation: list[float], line: int) -> Pose:
-    matrix = np.asarray(rotation, dtype=np.float64).reshape(3, 3)  # row-major
-    try:
-        return Pose(matrix, np.asarray(translation, dtype=np.float64))
-    except InvariantViolation as exc:
-        raise InvariantViolation(exc.description, line=line) from None
-
-
 def parse_record(obj: Mapping, line: int = 0) -> PoseRecord:
-    """Build one validated record from a decoded JSON object."""
-    return _record_from(obj, line)
+    """Build one validated record from a decoded JSON object: a batch of one,
+    checked as `parse_records` checks a file."""
+    poses = _Poses()
+    record = _record_from(obj, line, poses)
+    poses.check()
+    return record
 
 
-def _inlier_points(obj: Mapping, field: str, line: int, points: Mapping | None) -> np.ndarray:
+def _inlier_points(obj: Mapping, field: str, line: int, points: dict | None) -> np.ndarray:
     if points is not None:
         return points[field]
     return _as_point_list(_require(obj, field, line), field, line)
 
 
-def _record_from(
-    obj: Mapping,
-    line: int,
-    points: Mapping | None = None,
-    unchecked: _UncheckedPoses | None = None,
-) -> PoseRecord:
-    """`parse_record`, with the inlier arrays already converted when
-    `points` maps each inlier key to its (n, 2) int64 array.
-
-    With `unchecked`, the pose values get one exact-type check per list
-    here, and the record's poses wait there to be checked with the rest of
-    the file's; every other check runs as without it.
-    """
-    finite = unchecked is None  # without a batch, each pose is checked here
+def _record_from(obj: Mapping, line: int, poses: _Poses, points: dict | None = None) -> PoseRecord:
+    """A record with every field checked but its poses, which wait in
+    `poses` to be checked with the rest of the batch.  `points` maps each
+    inlier key to its (n, 2) int64 array when the reader converted them."""
     if not isinstance(obj, Mapping):
         raise SchemaError(line=line, message="record must be a JSON object")
     query_id = _require(obj, "query_id", line)
@@ -268,10 +250,8 @@ def _record_from(
     num_correspondences = _as_int(
         _require(obj, "num_correspondences", line), "num_correspondences", line, 0
     )
-    rotation = _as_real_list(_require(obj, "rotation", line), 9, "rotation", line, finite)
-    translation = _as_real_list(
-        _require(obj, "translation", line), 3, "translation", line, finite
-    )
+    rotation = _as_real_list(_require(obj, "rotation", line), 9, "rotation", line)
+    values = rotation + _as_real_list(_require(obj, "translation", line), 3, "translation", line)
 
     has_gt_rot = "gt_rotation" in obj
     has_gt_trans = "gt_translation" in obj
@@ -283,12 +263,9 @@ def _record_from(
         )
     ground_truth = None
     if has_gt_rot:
-        gt_rotation = _as_real_list(obj["gt_rotation"], 9, "gt_rotation", line, finite)
-        gt_translation = _as_real_list(obj["gt_translation"], 3, "gt_translation", line, finite)
-        ground_truth = (
-            _pose_from_lists(gt_rotation, gt_translation, line) if finite
-            else object.__new__(Pose)  # `unchecked.check` gives it its values
-        )
+        values += _as_real_list(obj["gt_rotation"], 9, "gt_rotation", line)
+        values += _as_real_list(obj["gt_translation"], 3, "gt_translation", line)
+        ground_truth = object.__new__(Pose)  # `poses.check` gives it its values
 
     pv_score = None
     if obj.get("pv_score") is not None:
@@ -305,10 +282,7 @@ def _record_from(
             query_inliers=query_inliers,
             db_inliers=db_inliers,
             num_correspondences=num_correspondences,
-            estimated_pose=(
-                _pose_from_lists(rotation, translation, line) if finite
-                else object.__new__(Pose)
-            ),
+            estimated_pose=object.__new__(Pose),
             ground_truth_pose=ground_truth,
             pv_score=pv_score,
         )
@@ -316,11 +290,7 @@ def _record_from(
         if exc.line is None:
             raise InvariantViolation(exc.description, line=line) from None
         raise
-    if not finite:
-        values = rotation + translation
-        if ground_truth is not None:
-            values += gt_rotation + gt_translation
-        unchecked.add(record, values, line)
+    poses.add(record, values, line)
     return record
 
 
@@ -388,36 +358,51 @@ def _decode_with_inliers(raw: str) -> tuple[dict, dict] | None:
     return obj, {key: _points_from_text(m.group(1)) for key, m in zip(_INLIER_KEYS, matches)}
 
 
-class _UncheckedPoses:
-    """The poses of a file's records, made without their values, which wait
-    here in one flat buffer until `check` validates them all at once."""
+# the field of each value a record adds to `_Poses`, ground truth last
+_POSE_FIELDS = ["rotation"] * 9 + ["translation"] * 3 + ["gt_rotation"] * 9 + ["gt_translation"] * 3
+
+
+def _refuse_poses(values: list, line: int) -> None:
+    """Raise the error of a record whose pose values the batch refuses: the
+    first value that is not finite, in field order, else the ground-truth
+    pose's, else the estimate's."""
+    for field, value in zip(_POSE_FIELDS, values):
+        _as_real(value, field, line)
+    for start in range(len(values) - 12, -1, -12):  # 9 rotation, then 3 translation values
+        try:
+            Pose(np.reshape(values[start : start + 9], (3, 3)), values[start + 9 : start + 12])
+        except InvariantViolation as exc:
+            raise InvariantViolation(exc.description, line=line) from None
+
+
+class _Poses:
+    """The poses of a batch of records, made without their values, which
+    wait here in one flat buffer until `check` validates them all at once."""
 
     def __init__(self):
         self.values = array("d")  # per pose, 9 rotation then 3 translation values
-        self.records: list[PoseRecord] = []
-        self.lines: list[int] = []
+        self.records: list[tuple[PoseRecord, int]] = []  # with their lines
 
     def add(self, record: PoseRecord, values: list, line: int) -> None:
-        # `fromlist` leaves the buffer as it was when a value does not
-        # convert (an integer past the float range raises OverflowError)
-        self.values.fromlist(values)
-        self.records.append(record)
-        self.lines.append(line)
+        try:  # leaves the buffer as it was when a value does not convert
+            self.values.fromlist(values)
+        except OverflowError:  # an integer past the float range
+            _refuse_poses(values, line)
+        self.records.append((record, line))
 
     def check(self) -> None:
         """Give each pose its arrays, rows of one (n, 12) array, once
-        `refused_poses` passes them all; a refused pose fails its line as
-        `parse_record` fails it."""
+        `refused_poses` passes them all; the first record with a refused
+        pose fails with its line."""
         rows = np.frombuffer(self.values).reshape(-1, 12)
         rotations, translations = rows[:, :9].reshape(-1, 3, 3), rows[:, 9:]
         refused = refused_poses(rotations, translations).tolist()
         row = 0
-        for record, line in zip(self.records, self.lines):
-            for pose in (record.estimated_pose, record.ground_truth_pose):
-                if pose is None:
-                    continue
-                if refused[row]:  # alone, the row is refused as in the batch
-                    parse_record(_DECODER.decode(record.source), line)
+        for record, line in self.records:
+            n = 1 if record.ground_truth_pose is None else 2
+            if True in refused[row : row + n]:
+                _refuse_poses(rows[row : row + n].ravel().tolist(), line)
+            for pose in (record.estimated_pose, record.ground_truth_pose)[:n]:
                 object.__setattr__(pose, "rotation", rotations[row])
                 object.__setattr__(pose, "translation", translations[row])
                 row += 1
@@ -432,36 +417,28 @@ def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
     message `parse_record` gives that line.  A line whose inlier arrays are
     plain `[[x,y],...]` text has each array converted from that text
     (`_decode_with_inliers`); every other line is decoded whole.  The poses
-    of the whole file are validated together, with one `refused_poses` call;
-    a line that fails any other check is read again by `parse_record` once
-    the poses of the lines before it have passed.
+    of the file are one `_Poses` batch, as a line's are in `parse_record`.
     """
     records = []
-    unchecked = _UncheckedPoses()
+    poses = _Poses()
     try:
         for line_no, raw in enumerate(lines, start=1):
             if not raw.strip():
                 continue
-            decoded = _decode_with_inliers(raw)
-            if decoded is not None:
-                obj, points = decoded
-            else:
-                points = None
+            obj, points = _decode_with_inliers(raw) or (None, None)
+            if points is None:
                 try:
                     obj = _DECODER.decode(raw)
                 except ValueError as exc:  # not JSON, a NaN/Infinity token, or an integer too long
                     message = getattr(exc, "msg", exc)
                     raise SchemaError(line=line_no, message=f"invalid JSON: {message}") from None
-            try:
-                record = _record_from(obj, line_no, points, unchecked)
-            except (PoseconfError, OverflowError):  # the per-record checks name the fault
-                record = _record_from(obj, line_no, points)
+            record = _record_from(obj, line_no, poses, points)
             object.__setattr__(record, "source", raw.strip(" \t\r\n"))
             records.append(record)
     except Exception:  # any error, one from reading the file too, comes after
-        unchecked.check()  # a bad pose on an earlier line
+        poses.check()  # a bad pose on an earlier line
         raise
-    unchecked.check()
+    poses.check()
     return records
 
 
@@ -481,7 +458,7 @@ def read_records(path: str | os.PathLike) -> list[PoseRecord]:
     raise SchemaError(message=message)  # the file changed since it was read
 
 
-def _record_fields(record: PoseRecord, extra: Mapping | None) -> dict:
+def _record_fields(record: PoseRecord, confidence: float | None) -> dict:
     """The fields of `serialize_record`, in order, with the inlier values
     still the record's (n, 2) int64 arrays."""
     obj = {
@@ -503,26 +480,17 @@ def _record_fields(record: PoseRecord, extra: Mapping | None) -> dict:
         obj["gt_translation"] = gt.translation.tolist()
     if record.pv_score is not None:
         obj["pv_score"] = record.pv_score
-    if extra:
-        obj.update(extra)
+    if confidence is not None:
+        obj["confidence"] = confidence
     return obj
 
 
-def _is_own_inliers(record: PoseRecord, key: str, value) -> bool:
-    # an extra field may have replaced the array under its key
-    return key in _INLIER_KEYS and value is getattr(record, key).points
-
-
-def serialize_record(record: PoseRecord, extra: Mapping | None = None) -> dict:
-    """Record as a JSON-ready dict; optional fields omitted when absent.
-
-    `extra` appends augmentation fields (e.g. a confidence score) after the
-    schema fields; one that names a schema field replaces it in place.
-    """
-    obj = _record_fields(record, extra)
+def serialize_record(record: PoseRecord, confidence: float | None = None) -> dict:
+    """Record as a JSON-ready dict; optional fields omitted when absent, and
+    a given `confidence` appended last."""
+    obj = _record_fields(record, confidence)
     for key in _INLIER_KEYS:
-        if _is_own_inliers(record, key, obj[key]):
-            obj[key] = obj[key].tolist()
+        obj[key] = obj[key].tolist()
     return obj
 
 
@@ -534,13 +502,13 @@ def _points_json(points: np.ndarray) -> str:
     return ("[" + ",".join(["[%d,%d]"] * len(points)) + "]") % tuple(points.ravel().tolist())
 
 
-def _record_json(record: PoseRecord, extra: Mapping | None) -> str:
-    """The compact JSON of `serialize_record(record, extra)`, byte for byte,
-    with each inlier array formatted in one step instead of as n lists."""
+def _record_json(record: PoseRecord, confidence: float | None) -> str:
+    """The compact JSON of `serialize_record(record, confidence)`, byte for
+    byte, with each inlier array formatted in one step instead of as n lists."""
     parts = []
     run: dict = {}  # consecutive fields json encodes as one object
-    for key, value in _record_fields(record, extra).items():
-        if _is_own_inliers(record, key, value):
+    for key, value in _record_fields(record, confidence).items():
+        if key in _INLIER_KEYS:
             if run:
                 parts.append(_ENCODER.encode(run)[1:-1])
                 run = {}
@@ -552,42 +520,43 @@ def _record_json(record: PoseRecord, extra: Mapping | None) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def _names_a_key(source: str, keys: Iterable[str]) -> bool:
-    """Whether the JSON object `source` holds one of `keys` at its top level."""
-    if "\\" not in source and not any(f'"{key}"' in source for key in keys):
-        return False  # without escapes, a key's name is in the text as it is
-    return not _DECODER.decode(source).keys().isdisjoint(keys)
+def _holds_confidence(source: str) -> bool:
+    """Whether the JSON object `source` holds `confidence` at its top level."""
+    if "\\" not in source and '"confidence"' not in source:
+        return False  # without escapes, the key's name is in the text as it is
+    return "confidence" in _DECODER.decode(source)
 
 
 def record_lines(
-    records: Sequence[PoseRecord], extras: Sequence[Mapping] | None = None
+    records: Sequence[PoseRecord], confidences: Sequence[float] | None = None
 ) -> Iterator[str]:
-    """One JSON line per record.
+    """One JSON line per record, with `confidences[i]`, when given, as the
+    `confidence` field of the i-th, last.
 
-    A parsed record is written as its source line, with the extra fields
-    appended through the strict, compact encoder, so unknown keys, key order
-    and spacing survive.  A record without a source (built, not parsed), or
-    one whose source already names an extra key, gets the compact encoding
-    of `serialize_record` instead.
+    A parsed record is written as its source line, the confidence appended
+    through the strict, compact encoder, so unknown keys, key order and
+    spacing survive.  A record without a source (built, not parsed), or one
+    whose source already holds a top-level `confidence`, gets the compact
+    encoding of `serialize_record` instead.
     """
     for i, record in enumerate(records):
-        extra = extras[i] if extras is not None else None
         source = record.source
-        if source is None or (extra and _names_a_key(source, extra)):
-            yield _record_json(record, extra)
-        elif extra:
-            yield source[:-1] + "," + _ENCODER.encode(dict(extra))[1:]
-        else:
+        confidence = None if confidences is None else confidences[i]
+        if source is None or (confidence is not None and _holds_confidence(source)):
+            yield _record_json(record, confidence)
+        elif confidence is None:
             yield source
+        else:
+            yield f'{source[:-1]},"confidence":{_ENCODER.encode(confidence)}}}'
 
 
 def write_records(
     records: Sequence[PoseRecord],
     path: str | os.PathLike,
-    extras: Sequence[Mapping] | None = None,
+    confidences: Sequence[float] | None = None,
 ) -> None:
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        for line in record_lines(records, extras):
+        for line in record_lines(records, confidences):
             fh.write(line + "\n")
 
 

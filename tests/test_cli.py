@@ -404,7 +404,7 @@ class TestScore:
         records = read_records(workspace["test"])
         assert len(lines) == len(records)
         for line, record in zip(lines, records):
-            expected = serialize_record(record, {"confidence": json.loads(line)["confidence"]})
+            expected = serialize_record(record, json.loads(line)["confidence"])
             assert line == json.dumps(expected, separators=(",", ":"))
 
     def test_rescoring_leaves_one_confidence_last(self, workspace, tmp_path):
@@ -797,8 +797,7 @@ class TestRerank:
         for line in selections:
             doc = json.loads(line)
             expected = serialize_record(
-                records[(doc["query_id"], doc["candidate_rank"])],
-                {"confidence": doc["confidence"]},
+                records[(doc["query_id"], doc["candidate_rank"])], doc["confidence"]
             )
             assert line == json.dumps(expected, separators=(",", ":"), allow_nan=False)
 

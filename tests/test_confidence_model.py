@@ -451,6 +451,34 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (["feature_set"], "inlier_count", "feature_set"),
+            (["feature_set"], ["inlier_count", 1], "feature_set"),
+            (["weights"], "2.5", "weights"),
+            (["weights"], [True], "weights"),
+            (["bias"], "0.5", "bias"),
+            (["bias"], [0.5], "bias"),
+            (["bias"], False, "bias"),
+            (["standardizer", "means"], ["3"], "standardizer.means"),
+            (["standardizer", "stds"], [True], "standardizer.stds"),
+            (["training_meta"], [["n_train", 4]], "training_meta"),
+            # the message names a coverage parameter
+            (["training_meta", "coverage_params"], {"neighborhood_fraction": True}, None),
+            (["training_meta", "coverage_params"], {"min_half_extent": True}, None),
+        ],
+    )
+    def test_only_json_numbers_load_as_numbers(self, path, value, field):
+        doc = to_json_dict(self.make_trained())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(SchemaError, match=field or next(iter(value))) as info:
+            from_json_dict(doc)
+        assert info.value.field == field
+
     def test_config_keys_of_older_models_still_load(self):
         # models written while the fit still had settings carry them here
         doc = to_json_dict(self.make_trained())

@@ -224,6 +224,11 @@ class TestValidation:
         with pytest.raises(InvalidConfig):
             CoverageParams(min_half_extent=1.5)
 
+    @pytest.mark.parametrize("field", ["neighborhood_fraction", "min_half_extent"])
+    def test_a_bool_is_not_a_param(self, field):
+        with pytest.raises(InvalidConfig, match=field):
+            CoverageParams(**{field: True})
+
     def test_out_of_bounds_points_rejected(self):
         dims = ImageDims(30, 30)
         with pytest.raises(InvariantViolation):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import random
 import tracemalloc
 
@@ -343,7 +344,7 @@ class TestSerialization:
 
     def test_extra_keys_appended_and_survive_reparse(self):
         record = parse_record(record_obj())
-        lines = list(record_lines([record], extras=[{"confidence": 0.875}]))
+        lines = list(record_lines([record], confidences=[0.875]))
         assert json.loads(lines[0])["confidence"] == 0.875
         assert parse_records(lines) == [record]
 
@@ -351,7 +352,7 @@ class TestSerialization:
     def test_non_finite_extras_are_not_written(self, value):
         record = parse_record(record_obj())
         with pytest.raises(ValueError):
-            list(record_lines([record], extras=[{"confidence": value}]))
+            list(record_lines([record], confidences=[value]))
 
     def test_file_round_trip(self, tmp_path):
         records = [
@@ -365,19 +366,17 @@ class TestSerialization:
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         record = parse_record(record_obj())
         path = tmp_path / "scored.jsonl"
-        write_records([record], path, extras=[{"confidence": 0.5}])
+        write_records([record], path, confidences=[0.5])
         before = path.read_bytes()
         # the second line cannot be written: a NaN is refused mid-file
         with pytest.raises(ValueError):
-            write_records(
-                [record, record], path, extras=[{"confidence": 0.25}, {"confidence": float("nan")}]
-            )
+            write_records([record, record], path, confidences=[0.25, float("nan")])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["scored.jsonl"]
 
 
 class TestSourcePassThrough:
-    """A parsed record is written back as its source line unless extras are added."""
+    """A parsed record is written back as its source line unless a confidence is added."""
 
     LINE = (
         '{ "translation": [0.0, 0.0, 0.0],  "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],'
@@ -388,8 +387,10 @@ class TestSourcePassThrough:
     )
 
     @staticmethod
-    def canonical(record, extra=None):
-        return json.dumps(serialize_record(record, extra), separators=(",", ":"), allow_nan=False)
+    def canonical(record, confidence=None):
+        return json.dumps(
+            serialize_record(record, confidence), separators=(",", ":"), allow_nan=False
+        )
 
     def test_parsed_record_keeps_its_line(self):
         (record,) = parse_records([" \t" + self.LINE + " \r\n"])
@@ -403,15 +404,15 @@ class TestSourcePassThrough:
 
     def test_extras_are_appended_to_the_source(self):
         (record,) = parse_records([self.LINE])
-        (line,) = record_lines([record], extras=[{"confidence": 0.25, "tag": "x"}])
-        assert line == self.LINE[:-1] + ',"confidence":0.25,"tag":"x"}'
-        assert json.loads(line) == {**json.loads(self.LINE), "confidence": 0.25, "tag": "x"}
+        (line,) = record_lines([record], confidences=[0.25])
+        assert line == self.LINE[:-1] + ',"confidence":0.25}'
+        assert json.loads(line) == {**json.loads(self.LINE), "confidence": 0.25}
 
     @pytest.mark.parametrize("key", ['"confidence"', r'"confid\u0065nce"'])
     def test_a_source_naming_an_extra_key_re_encodes_canonically(self, key):
         (record,) = parse_records([self.LINE.replace('"note"', key + ': 0.9, "note"')])
-        (line,) = record_lines([record], extras=[{"confidence": 0.25}])
-        assert line == self.canonical(record, {"confidence": 0.25})
+        (line,) = record_lines([record], confidences=[0.25])
+        assert line == self.canonical(record, 0.25)
         # one confidence, the new one, last
         assert line.count("confidence") == 1
         assert list(json.loads(line))[-1] == "confidence"
@@ -420,14 +421,14 @@ class TestSourcePassThrough:
     def test_a_key_named_only_below_the_top_level_is_appended(self):
         source = self.LINE.replace('"kept"', '"confidence", "extra": {"confidence": 1}')
         (record,) = parse_records([source])
-        (line,) = record_lines([record], extras=[{"confidence": 0.25}])
+        (line,) = record_lines([record], confidences=[0.25])
         assert line == source[:-1] + ',"confidence":0.25}'
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_extras_are_not_appended(self, value):
         (record,) = parse_records([self.LINE])
         with pytest.raises(ValueError):
-            list(record_lines([record], extras=[{"confidence": value}]))
+            list(record_lines([record], confidences=[value]))
 
     def test_replaced_record_re_encodes(self):
         (record,) = parse_records([self.LINE])
@@ -483,21 +484,31 @@ def built_records(draw):
 
 
 json_values = st.none() | st.booleans() | st.integers() | finite_floats | st.text(max_size=8)
-record_extras = st.none() | st.dictionaries(
-    st.sampled_from(["confidence", "note", "query_id", "pv_score", "db_inliers"]),
-    json_values,
-    max_size=3,
-)
+confidences = st.none() | st.floats()  # NaN and infinities included
+
+
+def only_line(record, confidence):
+    """The one line `record_lines` writes for `record` with `confidence`
+    (None: no confidence), or None when it refuses a non-finite one."""
+    lines = record_lines([record], None if confidence is None else [confidence])
+    if confidence is None or math.isfinite(confidence):
+        (line,) = lines
+        return line
+    with pytest.raises(ValueError):
+        list(lines)
+    return None
 
 
 @settings(max_examples=300, deadline=None)
-@given(record=built_records(), extra=record_extras)
-def test_record_lines_match_the_reference_encoding(record, extra):
-    (line,) = record_lines([record], [extra])
-    assert line == TestSourcePassThrough.canonical(record, extra)
-    # an extra naming a schema field replaces it in place; the others go last
+@given(record=built_records(), confidence=confidences)
+def test_record_lines_match_the_reference_encoding(record, confidence):
+    line = only_line(record, confidence)
+    if line is None:
+        return
+    assert line == TestSourcePassThrough.canonical(record, confidence)
+    # a confidence goes after the schema fields
     schema = list(serialize_record(record))
-    assert list(json.loads(line)) == schema + [k for k in extra or {} if k not in schema]
+    assert list(json.loads(line)) == schema + ["confidence"] * (confidence is not None)
 
 
 @st.composite
@@ -521,17 +532,19 @@ def source_lines(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(source=source_lines(), extra=record_extras)
-def test_record_lines_append_extras_to_the_source(source, extra):
+@given(source=source_lines(), confidence=confidences)
+def test_record_lines_append_extras_to_the_source(source, confidence):
     (record,) = parse_records([source])
-    (line,) = record_lines([record], [extra])
-    if not extra:
+    line = only_line(record, confidence)
+    if line is None:
+        return
+    if confidence is None:
         assert line == source
-    elif json.loads(source).keys().isdisjoint(extra):
-        assert line == source[:-1] + "," + compact(extra)[1:]
-        assert json.loads(line) == {**json.loads(source), **extra}
+    elif "confidence" not in json.loads(source):
+        assert line == source[:-1] + "," + compact({"confidence": confidence})[1:]
+        assert json.loads(line) == {**json.loads(source), "confidence": confidence}
     else:
-        assert line == TestSourcePassThrough.canonical(record, extra)
+        assert line == TestSourcePassThrough.canonical(record, confidence)
 
 
 def _refuse_constant(token):
@@ -689,6 +702,63 @@ def test_the_first_bad_line_fails_first(pose_first, damage):
         assert error[:3] == (SchemaError, 2, "gt_translation") and error[3].endswith("got inf")
     else:
         assert error[:3] == (SchemaError, 2, "num_correspondences")
+
+
+# a fault outside the poses of a RECORD_DOCS line (64x48 images, >= 3 inliers)
+OTHER_FAULTS = {
+    "query_id": {"query_id": 7},
+    "rank": {"candidate_rank": 0},
+    "pv_score": {"pv_score": "high"},
+    "correspondences": {"num_correspondences": 2},
+    "outside": {"db_width": 1},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_bad_pose_and_another_fault_read_like_the_whole_line_decoder(data):
+    lines = data.draw(st.lists(st.sampled_from(SYNTH_LINES), max_size=2), label="synth")
+    doc = damage_pose(data.draw(st.sampled_from(RECORD_DOCS), label="record"), data)
+    fault = data.draw(st.sampled_from([*OTHER_FAULTS, "mutate"]), label="fault")
+    doc = mutate(doc, data) if fault == "mutate" else {**doc, **OTHER_FAULTS[fault]}
+    lines.insert(data.draw(st.integers(0, len(lines)), label="at"), record_text(doc, data))
+    assert_reads_like_the_reference([line + "\n" for line in lines])
+
+
+REFLECTED = [-v for v in IDENTITY]
+
+
+@pytest.mark.parametrize(
+    "pose_fault, other_fault, error",
+    [
+        (
+            {"gt_rotation": REFLECTED, "gt_translation": [0.0, 0.0, 0.0]},
+            {"query_inliers": [[4, 4], [10, 7], [32, 18]]},
+            (InvariantViolation, 1, None, "line 1: inlier outside 32x24 image"),
+        ),
+        (
+            {"translation": [0.0, float("inf"), 0.0]},
+            {"pv_score": "high"},
+            (SchemaError, 1, "pv_score", "line 1: field 'pv_score': expected a number, got 'high'"),
+        ),
+        (
+            {"rotation": REFLECTED},
+            {"num_correspondences": 2},
+            (InvariantViolation, 1, None, "line 1: 3 inliers exceed 2 correspondences"),
+        ),
+    ],
+    ids=["reflected-gt-and-outside", "1e999-and-pv_score", "reflected-and-correspondences"],
+)
+def test_a_line_names_its_other_fault_before_its_pose(pose_fault, other_fault, error):
+    def text(obj):  # json writes no inf, so the text gets 1e999 afterwards
+        return json.dumps(obj).replace("Infinity", "1e999")
+
+    obj = record_obj(**pose_fault, **other_fault)
+    assert reader_outcome(lambda o: parse_record(o, 1), obj) == error
+    assert reader_outcome(parse_records, [text(obj)]) == error
+    # the pose fault alone still fails the line
+    alone = reader_outcome(parse_records, [text(record_obj(**pose_fault))])
+    assert isinstance(alone, tuple) and alone[1] == 1 and alone[3] != error[3]
 
 
 def test_a_bad_pose_fails_before_a_later_undecodable_byte(tmp_path):

@@ -169,6 +169,24 @@ def test_score_with_a_mutated_model_fails_on_one_line(score_dir, data):
     _assert_contract(*_run_score(score_dir, lines, mutate(MODEL_DOC, data)))
 
 
+# JSON that decodes, but holds no number or object where the model needs one
+@pytest.mark.parametrize("field, value", [
+    ("feature_set", "inlier_count"),
+    ("weights", "2.5"),
+    ("bias", "0.5"),
+    ("standardizer.means", ["3"]),
+    ("standardizer.stds", [True]),
+    ("training_meta", [["n_train", 4]]),
+])
+def test_score_with_a_model_of_non_numbers_names_the_field(score_dir, field, value):
+    doc = copy.deepcopy(MODEL_DOC)
+    *parents, key = field.split(".")
+    reduce(lambda node, name: node[name], parents, doc)[key] = value
+    code, err = _run_score(score_dir, [json.dumps(d) for d in RECORD_DOCS], doc)
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: SchemaError: field '{field}': ")
+
+
 LONG_INT = "1" * 5000  # beyond the digits Python's json converts to int
 RECORD_TEXT = json.dumps(RECORD_DOCS[0])
 MODEL_TEXT = json.dumps(MODEL_DOC)
@@ -241,7 +259,9 @@ def _workspace(root):
 
 def _argv(command, root, flag=None, value=None):
     argv = list(COMMANDS[command])
-    if flag in argv:
+    if flag in argv and value is None:  # a switch, dropped
+        argv.remove(flag)
+    elif flag in argv:
         argv[argv.index(flag) + 1] = value
     elif flag is not None:
         argv += [flag, value]
@@ -290,6 +310,9 @@ SAME_FILE_CASES = [
     ("eval", "--data", "{root}/out/eval/manifest.json"),
     ("rerank", "--data", "{root}/out/rerank/selections.jsonl"),
 ]
+
+# --train-data is read only for --ablate: without it, the pair is a usage error
+WITHOUT_ABLATE = ("eval", "--ablate", None)
 
 FLAG_CASES = [
     ("synth", "--queries", "-1"),
@@ -342,6 +365,7 @@ FLAG_CASES = [
     ("eval", "--train-data", A_DIR),
     ("eval", "--out-dir", A_FILE),
     ("eval", "--out-dir", UNDER_A_FILE),
+    WITHOUT_ABLATE,
     ("rerank", "--thresholds-m", ""),
     ("rerank", "--thresholds-m", "nan"),
     ("rerank", "--thresholds-m", "-1"),
@@ -362,6 +386,8 @@ def _case_id(case):
                        ("4301-digits", DIGITS_4301)):
         if value == path:
             value = name
+    if value is None:
+        return f"{command}-without{flag}"
     return f"{command}{flag}={value.replace('{root}/', '') or 'empty'}"
 
 
@@ -370,7 +396,7 @@ def test_bad_flag_fails_on_one_line(tmp_path, capsys, case):
     command, flag, value = case
     _workspace(tmp_path)
     code, _ = _fails_on_one_line(_argv(command, tmp_path, flag, value), tmp_path, capsys)
-    if case in SAME_FILE_CASES:
+    if case in SAME_FILE_CASES or case == WITHOUT_ABLATE:
         assert code == 2
 
 
