@@ -407,6 +407,11 @@ class _Poses:
                 object.__setattr__(pose, "translation", translations[row])
                 row += 1
 
+    def checked(self) -> list[PoseRecord]:
+        """The records of the batch, in order, once `check` passes."""
+        self.check()
+        return [record for record, _ in self.records]
+
 
 def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
     """Parse newline-delimited JSON records; blank lines are skipped.
@@ -419,7 +424,6 @@ def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
     (`_decode_with_inliers`); every other line is decoded whole.  The poses
     of the file are one `_Poses` batch, as a line's are in `parse_record`.
     """
-    records = []
     poses = _Poses()
     try:
         for line_no, raw in enumerate(lines, start=1):
@@ -434,12 +438,10 @@ def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
                     raise SchemaError(line=line_no, message=f"invalid JSON: {message}") from None
             record = _record_from(obj, line_no, poses, points)
             object.__setattr__(record, "source", raw.strip(" \t\r\n"))
-            records.append(record)
     except Exception:  # any error, one from reading the file too, comes after
         poses.check()  # a bad pose on an earlier line
         raise
-    poses.check()
-    return records
+    return poses.checked()
 
 
 def read_records(path: str | os.PathLike) -> list[PoseRecord]:
@@ -666,6 +668,10 @@ class SynthConfig:
     include_pv: bool = False
 
     def __post_init__(self):
+        for name in ("queries", "candidates_per_query", "width", "height", "include_pv"):
+            kind, value = bool if name == "include_pv" else int, getattr(self, name)
+            if type(value) is not kind:  # exact, as a record file holds it: a bool is no int
+                raise InvalidConfig(f"{name} must be of type {kind.__name__}, got {value!r}")
         if self.queries < 0:
             raise InvalidConfig(f"queries must be >= 0, got {self.queries}")
         if self.candidates_per_query < 1:
@@ -682,21 +688,22 @@ class SynthConfig:
             raise InvalidConfig(f"width x height exceeds {INT64_MAX}")
         for name in ("correct_fraction", "adversarial_fraction", "junk_fraction"):
             value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise InvalidConfig(f"{name} must lie in [0, 1], got {value}")
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and 0.0 <= value <= 1.0):
+                raise InvalidConfig(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 def _random_unit(rng: np.random.Generator, n: int = 3) -> np.ndarray:
     while True:
         v = rng.normal(size=n)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(v @ v)  # what np.linalg.norm computes for a float vector
         if norm > 1e-8:
             return v / norm
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     # uniform over SO(3) via a normalized quaternion
-    w, x, y, z = _random_unit(rng, 4)
+    w, x, y, z = _random_unit(rng, 4).tolist()
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -721,14 +728,14 @@ def _pose_pair(
     rng: np.random.Generator,
     translation_error_m: float,
     rotation_error_deg: float,
-) -> tuple[Pose, Pose]:
-    """Ground-truth pose plus an estimate at exactly the requested errors."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ground-truth pose plus an estimate at exactly the requested errors, as
+    (R_est, t_est, R_gt, t_gt)."""
     r_gt = _random_rotation(rng)
     center = rng.uniform(0.0, 50.0, size=3)
-    gt = Pose(r_gt, -r_gt @ center)
     center_est = center + translation_error_m * _random_unit(rng)
     r_est = _axis_angle(_random_unit(rng), math.radians(rotation_error_deg)) @ r_gt
-    return Pose(r_est, -r_est @ center_est), gt
+    return r_est, -r_est @ center_est, r_gt, -r_gt @ center
 
 
 def _spread_points(
@@ -772,7 +779,7 @@ def _cluster_points(
 
 
 def _clip_int(rng: np.random.Generator, mean: float, std: float, lo: int, hi: int) -> int:
-    return int(np.clip(round(rng.normal(mean, std)), lo, hi))
+    return min(max(round(rng.normal(mean, std)), lo), hi)
 
 
 def _make_record(
@@ -782,7 +789,9 @@ def _make_record(
     tag: str,
     dims: ImageDims,
     include_pv: bool,
-) -> PoseRecord:
+) -> tuple[PoseRecord, list]:
+    """A record whose poses wait for their values, and the 24 values: the
+    estimate's 9 rotation and 3 translation values, then the ground truth's."""
     max_t = SYNTH_THRESHOLD.max_translation_m
     max_r = SYNTH_THRESHOLD.max_rotation_deg
 
@@ -792,9 +801,7 @@ def _make_record(
         e_r = ((1.0 - quality) * 0.6 + 0.03) * max_r
         if tag == "dense":
             count = _clip_int(rng, 250 + 950 * quality, 90, 60, 2400)
-            spread_q = float(
-                np.clip(0.35 + 0.6 * quality + rng.uniform(-0.08, 0.08), 0.15, 1.0)
-            )
+            spread_q = min(max(0.35 + 0.6 * quality + rng.uniform(-0.08, 0.08), 0.15), 1.0)
         else:
             count = _clip_int(rng, 170, 50, 60, 320)
             spread_q = rng.uniform(0.75, 1.0)
@@ -806,7 +813,7 @@ def _make_record(
             q_pts = _cluster_points(rng, dims, count, k, rng.uniform(0.02, 0.05))
             d_pts = _cluster_points(rng, dims, count, k, rng.uniform(0.02, 0.05))
         else:
-            spread_d = float(np.clip(spread_q + rng.uniform(-0.12, 0.12), 0.15, 1.0))
+            spread_d = min(max(spread_q + rng.uniform(-0.12, 0.12), 0.15), 1.0)
             q_pts = _spread_points(rng, dims, count, spread_q)
             d_pts = _spread_points(rng, dims, count, spread_d)
         pv_mean, pv_std = 0.62 + 0.25 * quality, 0.10
@@ -840,37 +847,44 @@ def _make_record(
             q_pts = _spread_points(rng, dims, count, 1.0)
             d_pts = _spread_points(rng, dims, count, 1.0)
             pv_mean, pv_std = 0.2, 0.1
-    pv = float(np.clip(rng.normal(pv_mean, pv_std), 0.0, 1.0)) if include_pv else None
+    pv = min(max(rng.normal(pv_mean, pv_std), 0.0), 1.0) if include_pv else None
 
     e_r = min(e_r, 179.0)
-    estimated, ground_truth = _pose_pair(rng, e_t, e_r)
+    r_est, t_est, r_gt, t_gt = _pose_pair(rng, e_t, e_r)
     if tag == "junk":
         num_correspondences = count
     else:
         num_correspondences = count + int(rng.integers(0, max(2, count // 3)))
-    return PoseRecord(
+    record = PoseRecord(
         query_id=query_id,
         candidate_rank=rank,
         query_inliers=InlierSet(q_pts, dims),
         db_inliers=InlierSet(d_pts, dims),
         num_correspondences=num_correspondences,
-        estimated_pose=estimated,
-        ground_truth_pose=ground_truth,
+        estimated_pose=object.__new__(Pose),  # `_Poses.check` gives both their values
+        ground_truth_pose=object.__new__(Pose),
         pv_score=pv,
     )
+    return record, np.concatenate([r_est.ravel(), t_est, r_gt.ravel(), t_gt]).tolist()
 
 
 # the regimes of the pooled candidates, in their order in the pool before it is shuffled
 _POOLED_TAGS = ("junk", "sparse", "hard", "dense", "decoy", "plain")
 
+# records made at a time, their poses checked as one `_Poses` batch; a fixed
+# count, not a query, so memory does not grow with candidates_per_query
+SYNTH_CHUNK = 16
+
 
 class SynthRecords(Sequence[PoseRecord]):
-    """The records of `synth_generate`, each made only when it is reached.
+    """The records of `synth_generate`, made in chunks of at most
+    SYNTH_CHUNK as they are reached, each chunk's poses checked as one batch.
 
-    Nothing is kept between records: every pass replays the same random
+    Nothing is kept between chunks: every pass replays the same random
     stream from the generator state left after the regime draws, so two
     passes give equal records, and an index replays the stream up to its
-    position.  Call `list()` on it for repeated random access.
+    position.  A refused pose fails with its record's 1-based position, its
+    line in a written file.  Call `list()` on it for repeated random access.
     """
 
     def __init__(self, config: SynthConfig, seed: int):
@@ -908,6 +922,7 @@ class SynthRecords(Sequence[PoseRecord]):
         config = self.config
         rng = copy.deepcopy(self._rng)
         next_pooled = 0
+        poses = _Poses()
         for qi in range(config.queries):
             query_id = f"q{qi:04d}"
             for rank in range(1, config.candidates_per_query + 1):
@@ -916,7 +931,12 @@ class SynthRecords(Sequence[PoseRecord]):
                 else:
                     tag = _POOLED_TAGS[self._pool[next_pooled]]
                     next_pooled += 1
-                yield _make_record(rng, query_id, rank, tag, self._dims, config.include_pv)
+                if len(poses.records) == SYNTH_CHUNK:
+                    yield from poses.checked()
+                    poses = _Poses()
+                record, values = _make_record(rng, query_id, rank, tag, self._dims, config.include_pv)
+                poses.add(record, values, qi * config.candidates_per_query + rank)
+        yield from poses.checked()
 
     def __getitem__(self, index: int) -> PoseRecord:
         n = len(self)

@@ -16,10 +16,12 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import poseconf.cli
 import poseconf.confidence_model
+import poseconf.dataset_io
 import poseconf.features
 from conftest import make_record
 from poseconf.cli import main
@@ -173,6 +175,42 @@ class TestSynth:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "41e3ece0bf750da9e0a407d04e2a15c18f5be3d4a24621c333b7afeb6462d7df"
         )
+
+    @pytest.mark.parametrize("argv, digest", [
+        # verification scores with junk records
+        (["--queries", "5", "--candidates", "4", "--include-pv", "--junk-fraction", "0.2",
+          "--seed", "3"], "50c8d9481120904b8781272046ca205d029cb5dfad4ac16d2e3dc3f9cbb94431"),
+        (["--queries", "5", "--candidates", "4", "--include-pv", "--junk-fraction", "0.2",
+          "--seed", "11"], "e0e64dbb8459c53ea96a79f541c4e228bfeb3ff256dcfc6c24a8449c8576fe1d"),
+        # mostly decoys on phone-sized images
+        (["--queries", "4", "--candidates", "3", "--adversarial-fraction", "0.9",
+          "--width", "4032", "--height", "3024", "--seed", "5"],
+         "9872f97b1fb06b4919fff13dff26e6c5ebb1291f388dbbaf28fdd5e1b9c1e748"),
+        (["--queries", "4", "--candidates", "3", "--adversarial-fraction", "0.9",
+          "--width", "4032", "--height", "3024", "--seed", "13"],
+         "6ad144400df9efb2c3b45e85d1c063b46bd00d1ecb37cf250fd61f488fbd811b"),
+        # 50 candidates a query, as in top-50 retrieval
+        (["--queries", "3", "--candidates", "50", "--adversarial-fraction", "0.0",
+          "--junk-fraction", "0.1", "--seed", "7"],
+         "d9b2f7a3850b521f0483ef26045aea7d1102b24d1b096bc20b9080ade41495c3"),
+        (["--queries", "3", "--candidates", "50", "--adversarial-fraction", "0.0",
+          "--junk-fraction", "0.1", "--seed", "17"],
+         "ce87d1a07fc48f7d552751463190d30b8ced06196cd874b158ec86f58dffa82e"),
+    ])
+    def test_generator_branches_are_pinned(self, tmp_path, argv, digest):
+        out = tmp_path / "golden.jsonl"
+        assert main(["synth", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_a_refused_pose_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        reflection = np.diag([1.0, 1.0, -1.0])
+        monkeypatch.setattr(poseconf.dataset_io, "_axis_angle", lambda axis, angle: reflection)
+        out = tmp_path / "x.jsonl"
+        assert main(["synth", "--queries", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: InvariantViolation: line 1: rotation is not orthonormal")
+        assert os.listdir(tmp_path) == []  # neither the output nor its manifest
 
     def test_manifest_written_next_to_output(self, tmp_path):
         out = tmp_path / "data.jsonl"

@@ -41,7 +41,8 @@ from poseconf.errors import (
     SchemaError,
     TooFewQueries,
 )
-from poseconf.pose_metrics import ErrorThreshold
+from poseconf import pose_metrics
+from poseconf.pose_metrics import ErrorThreshold, refused_poses
 from test_error_contract import RECORD_DOCS, mutate
 
 IDENTITY = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
@@ -1045,6 +1046,19 @@ class TestSynthConfigValidation:
             SynthConfig(width=INT64_MAX // 16 + 1, height=16)
         SynthConfig(width=INT64_MAX // 16, height=16)  # the largest count still fits
 
+    @pytest.mark.parametrize("name, value", [
+        ("queries", True), ("queries", 2.5), ("candidates_per_query", "3"),
+        ("width", 320.0), ("height", np.int64(240)), ("correct_fraction", True),
+        ("adversarial_fraction", "0.3"), ("junk_fraction", None),
+        ("include_pv", "no"), ("include_pv", 1),
+    ])
+    def test_a_field_of_the_wrong_type_is_named(self, name, value):
+        with pytest.raises(InvalidConfig, match=f"^{name} must be"):
+            SynthConfig(**{name: value})
+
+    def test_integer_fractions_are_numbers(self):
+        SynthConfig(correct_fraction=1, adversarial_fraction=0, junk_fraction=0)
+
 
 class TestSynthGenerate:
     def test_deterministic_for_a_seed(self):
@@ -1094,6 +1108,52 @@ class TestSynthGenerate:
             tracemalloc.stop()
         # a list of the 400 records alone takes about 6.5 MB
         assert peak < 2**20
+
+    def test_writing_memory_does_not_grow_with_candidates(self, tmp_path):
+        path = tmp_path / "synth.jsonl"
+        config = SynthConfig(queries=2, candidates_per_query=200)
+        write_records(synth_generate(config, 0), path)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            write_records(synth_generate(config, 0), path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # as for 400 records over 40 queries
+
+    def test_poses_are_checked_a_chunk_at_a_time(self, monkeypatch):
+        batches = []
+
+        def counting(rotations, translations):
+            batches.append(len(rotations))
+            return refused_poses(rotations, translations)
+
+        def no_pose(*args):
+            raise AssertionError("a generated pose was checked on its own")
+
+        monkeypatch.setattr(dataset_io, "refused_poses", counting)
+        monkeypatch.setattr(pose_metrics, "refused_poses", no_pose)  # what Pose(...) calls
+        records = list(synth_generate(SynthConfig(queries=30), seed=4))
+        assert len(records) == 300
+        assert len(batches) <= math.ceil(300 / dataset_io.SYNTH_CHUNK)
+        assert sum(batches) == 600  # an estimate and a ground truth per record
+
+    def test_a_refused_pose_names_its_position(self, monkeypatch):
+        axis_angle = dataset_io._axis_angle  # called once per record, for its estimate
+        bad = dataset_io.SYNTH_CHUNK + 4  # a record of the second chunk
+        calls = []
+
+        def reflect_one(axis, angle):
+            calls.append(None)
+            rotation = axis_angle(axis, angle)
+            return -rotation if len(calls) == bad else rotation
+
+        monkeypatch.setattr(dataset_io, "_axis_angle", reflect_one)
+        made = iter(synth_generate(SynthConfig(queries=bad, candidates_per_query=2), seed=2))
+        first = [next(made) for _ in range(dataset_io.SYNTH_CHUNK)]  # the first chunk passes
+        assert first[-1].estimated_pose.rotation.shape == (3, 3)
+        with pytest.raises(InvariantViolation, match=f"^line {bad}: rotation is not orthonormal"):
+            list(made)
 
     def test_record_invariants(self):
         config = SynthConfig(
