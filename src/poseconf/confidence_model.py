@@ -401,6 +401,6 @@ def load_model(path: str | os.PathLike) -> ConfidenceModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:  # not JSON or not UTF-8, or an integer too long to read
+        except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, a long int, too deep
             raise SchemaError(message=f"model file is not valid JSON: {exc}") from None
     return from_json_dict(obj)

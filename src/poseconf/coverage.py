@@ -6,10 +6,11 @@ covered fraction of the image.  The neighborhood defaults to roughly
 1/15 of each image dimension, which penalizes inlier sets condensed
 into a few small clusters.
 
-`coverage_fraction` computes the score exactly from the inlier windows
-and is what feature assembly uses.  The per-pixel raster (`coverage_map`,
-`coverage_score`) remains for PGM export and as the reference the tests
-compare against.
+`coverage_fractions` computes the score exactly, without a raster, for
+many images at once, at a cost that grows with the inlier count, not with
+the image area; feature assembly uses it.  The per-pixel raster
+(`coverage_map`, `coverage_score`) remains for PGM export and as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .fileio import atomic_open
 
 DEFAULT_NEIGHBORHOOD_FRACTION = 1.0 / 15.0
 INT64_MAX = int(np.iinfo(np.int64).max)
+INLIER_BUDGET = 4096  # inliers per batch of the coverage kernel
 
 
 @dataclass(frozen=True)
@@ -201,48 +203,136 @@ def coverage_score(cmap: CoverageMap) -> float:
     return float(np.count_nonzero(cmap.covered)) / cmap.dims.pixel_count
 
 
-def coverage_fraction(
-    inliers: InlierSet, params: CoverageParams = CoverageParams()
-) -> float:
-    """Exactly coverage_score(coverage_map(inliers, params)), without the raster.
+def coverage_fraction(inliers: InlierSet, params: CoverageParams = CoverageParams()) -> float:
+    """Exactly coverage_score(coverage_map(inliers, params)), as a batch of one."""
+    return coverage_fractions([inliers], params)[0]
 
-    The covered pixels are the union of each inlier's (2*hx+1) x (2*hy+1)
-    window clipped to the image.  The union is counted on a grid compressed
-    to the windows' distinct x and y edges, so memory and time grow with the
-    inlier count, not with the image area: at most min(2n, W+1) x
-    min(2n, H+1) cells for n inliers on a W x H image.
+
+def coverage_fractions(
+    inlier_sets: list[InlierSet], params: CoverageParams = CoverageParams()
+) -> list[float]:
+    """coverage_fraction of each set.  Images are tiled into blocks of (hx+1) x (hy+1)
+    pixels and batched by at most INLIER_BUDGET inliers (or one set) and INT64_MAX
+    pixels, which bound the kernel's arrays and int64 keys; no result depends on its batch."""
+    batches: list[tuple[list, list]] = []  # per image: the set, and bw, bh, W, H, first key
+    inliers = pixels = base = 0
+    for s in inlier_sets:
+        w, h = s.dims.width, s.dims.height
+        hx, hy = neighborhood_half_extents(s.dims, params)
+        bh = min(hy, h - 1) + 1  # a wider window covers as much
+        if not batches or inliers + len(s) > INLIER_BUDGET or pixels + w * h > INT64_MAX:
+            batches.append(([], []))
+            inliers = pixels = base = 0
+        batches[-1][0].append(s)
+        batches[-1][1].append((min(hx, w - 1) + 1, bh, w, h, base))
+        inliers, pixels, base = inliers + len(s), pixels + w * h, base + -(-h // bh) * w
+    return [f for sets, geometry in batches for f in _block_fractions(sets, geometry)]
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First and last index of each run of equal keys, and each key's run."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    last = np.roll(first, -1)  # the key after a run's last starts a run, or wraps to the first
+    return np.flatnonzero(first), np.flatnonzero(last), np.cumsum(first) - 1
+
+
+def _running_max(values: np.ndarray, span: np.ndarray, run: np.ndarray, backward=False):
+    """Running max within each run of values in [0, span], from its front or
+    back; each run is lifted above the earlier ones by at most sum(span)."""
+    ahead = np.cumsum(span)
+    lift = ((span.sum() - ahead) if backward else (ahead - span))[run]
+    step = -1 if backward else 1
+    return np.maximum.accumulate((values + lift)[::step])[::step] - lift
+
+
+def _after(values: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Each element's successor in its run, 0 after a run's last."""
+    out = np.append(values[1:], 0)
+    out[last] = 0
+    return out
+
+
+def _block_fractions(sets: list[InlierSet], geometry: list[tuple]) -> list[float]:
+    """The covered fraction of each image of a batch, exactly.
+
+    A block that holds an inlier is covered; an empty one gets pieces from
+    its 8 neighbours (`_pieces`).  Every array is 1-D, sorted by an int64
+    key, base + (y // bh) * W + x, that counts pixels row of blocks by row
+    of blocks; no key, nor any lifted running max, passes the pixel count.
     """
-    dims = inliers.dims
-    hx, hy = neighborhood_half_extents(dims, params)
-    hx, hy = min(hx, dims.width), min(hy, dims.height)  # wider windows clip the same
-    xs = inliers.points[:, 0]
-    ys = inliers.points[:, 1]
-    # each window is the half-open pixel range [x0, x1) x [y0, y1); x1 is
-    # clipped before it is formed, as x + hx + 1 can pass int64 on wide images
-    x0, x1 = np.maximum(xs - hx, 0), xs + 1 + np.minimum(hx, dims.width - 1 - xs)
-    y0, y1 = np.maximum(ys - hy, 0), ys + 1 + np.minimum(hy, dims.height - 1 - ys)
-    ex, ix = np.unique(np.concatenate([x0, x1]), return_inverse=True)
-    ey, iy = np.unique(np.concatenate([y0, y1]), return_inverse=True)
-    (i0, i1), (j0, j1) = ix.reshape(2, -1), iy.reshape(2, -1) * len(ex)
+    bw, bh, iw, ih, base = images = np.array(geometry, dtype=np.int64).T
+    area = np.zeros(len(sets), dtype=np.int64)
+    corner, key, target, rows = _pieces(sets, images, area)
+    order = np.argsort(key)  # by block, then by edge
+    corner, key, target, rows = corner[order], key[order], target[order], rows[order]
+    start, end, run = _runs(target)
+    k = np.searchsorted(base, target[start], side="right") - 1
+    row, x0 = np.divmod(target[start] - base[k], iw[k])
+    width, height = np.minimum(bw[k], iw[k] - x0), np.minimum(bh[k], ih[k] - row * bh[k])
+    edge, span = key - target + 1, height[run]
+    rows = np.minimum(rows, span)
+    top_left, top_right, bottom_left, bottom_right = (rows * (corner == c) for c in range(4))
+    # the tallest piece from each corner over the columns [edge, next edge),
+    # and before a block's first edge, where only the left-anchored ones reach
+    tl, bl = (_running_max(h, height, run, True) for h in (top_left, bottom_left))
+    top = np.maximum(_after(tl, end), _running_max(top_right, height, run))
+    bottom = np.maximum(_after(bl, end), _running_max(bottom_right, height, run))
+    next_edge = _after(edge, end)
+    next_edge[end] = width
+    covered = (next_edge - edge) * (top + np.minimum(bottom, span - top))
+    head = edge[start] * (tl[start] + np.minimum(bl[start], height - tl[start]))
+    np.add.at(area, k, np.add.reduceat(covered, start) + head)
+    # int / int on Python ints: numpy would round both to float64 first
+    return [a / s.dims.pixel_count for a, s in zip(area.tolist(), sets)]
 
-    # 2-D difference array over grid cells; after both prefix sums a cell
-    # holds the number of windows covering it.  Cell (j, i) spans
-    # [ex[i], ex[i+1]) x [ey[j], ey[j+1]); the last row and column lie
-    # past every window and stay zero.  The corners are scattered through
-    # the flat view at index j * len(ex) + i, with an operand of the grid's
-    # dtype: a Python int sends ufunc.at to its slow generic loop.
-    diff = np.zeros((len(ey), len(ex)), dtype=np.int32)
-    one = np.int32(1)
-    np.add.at(diff.reshape(-1), np.concatenate([j0 + i0, j1 + i1]), one)
-    np.subtract.at(diff.reshape(-1), np.concatenate([j0 + i1, j1 + i0]), one)
-    np.cumsum(diff, axis=0, dtype=np.int32, out=diff)
-    np.cumsum(diff, axis=1, dtype=np.int32, out=diff)
-    covered = diff[:-1, :-1] > 0
-    # einsum reduces the bool grid in buffered chunks; `@` would first cast
-    # all of it to int64
-    covered_height = np.einsum("j,ji->i", np.diff(ey), covered)
-    area = int(covered_height @ np.diff(ex))
-    return area / dims.pixel_count
+
+def _pieces(sets: list[InlierSet], images: np.ndarray, area: np.ndarray) -> tuple:
+    """Add the occupied blocks' area to `area`; return the corner, key,
+    target block key and rows of each piece sent into an empty block.
+
+    An inlier at offset (dx, dy) reaches the columns u < dx of the block to
+    its right, u > dx to its left, the rows v < dy below, v > dy above, and
+    both diagonally: a piece anchored at corner 2 * bottom + right, which
+    covers u < edge (at the left) or u >= edge, and `rows` rows.
+    """
+    bw, bh, iw, ih, base = images
+    points = np.concatenate([s.points for s in sets])
+    image = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    by, dy = np.divmod(points[:, 1], bh[image])
+    key = base[image] + by * iw[image] + points[:, 0]
+    order = np.argsort(key)  # by block, then by column
+    key, x, dy, image = key[order], points[order, 0], dy[order], image[order]
+    dx = x % bw[image]
+    key -= dx  # now the key of the inlier's block, at its first column
+    start, _, run = _runs(key)
+    occupied, k = key[start], image[start]
+    bw_k, bh_k, iw_k, ih_k = bw[k], bh[k], iw[k], ih[k]
+    x0, y0 = x[start] - dx[start], by[order[start]] * bh_k
+    width, height = np.minimum(bw_k, iw_k - x0), np.minimum(bh_k, ih_k - y0)
+    np.add.at(area, k, width * height)
+
+    # each way, only a Pareto frontier sends: in dx order, the inliers whose
+    # dy (or flipped dy) is the largest to their block's end (or from its start)
+    flipped = (height - 1)[run] - dy
+    frontier = [[_running_max(v, height, run, last) == v for last in (True, False)]
+                for v in (dy, flipped)]
+    # by ddx (or ddy) + 1: where a piece may go, its edge and the target's width
+    # (or its rows), and which inliers send one that is not empty, keyed in its block
+    inside = [(x0 > 0, True, x0 < iw_k - bw_k), (y0 > 0, True, y0 < ih_k - bh_k)]
+    edges, widths = (dx + 1, width[run], dx), (bw_k, width, np.minimum(bw_k, iw_k - x0 - bw_k))
+    heights, reach = ((bh_k - 1)[run] - dy, bh_k[run], dy), (dx + 1 < bw_k[run], True, dx > 0)
+    searchable, pieces = np.append(occupied, -1), []
+    for ddx, ddy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)):
+        target = occupied + (ddx * bw_k + ddy * iw_k)
+        empty = inside[0][ddx + 1] & inside[1][ddy + 1]
+        empty &= searchable[np.searchsorted(occupied, target)] != target
+        i = np.flatnonzero(frontier[ddy < 0][ddx < 0] & reach[ddx + 1] & empty[run])
+        b = run[i]
+        edge = np.minimum(edges[ddx + 1][i], widths[ddx + 1][b])
+        corner = np.full(len(i), 2 * (ddy < 0) + (ddx < 0))
+        pieces.append((corner, target[b] + edge - 1, target[b], heights[ddy + 1][i]))
+    return tuple(np.concatenate([p[j] for p in pieces]) for j in range(4))
 
 
 def write_pgm(cmap: CoverageMap, path) -> None:

@@ -347,7 +347,7 @@ def _decode_with_inliers(raw: str) -> tuple[dict, dict] | None:
     )
     try:
         obj = _DECODER.decode(text)
-    except ValueError:
+    except (ValueError, RecursionError):  # the whole line is decoded again, and fails there
         return None
     if type(obj) is not dict:
         return None
@@ -433,7 +433,7 @@ def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
             if points is None:
                 try:
                     obj = _DECODER.decode(raw)
-                except ValueError as exc:  # not JSON, a NaN/Infinity token, or an integer too long
+                except (ValueError, RecursionError) as exc:  # not JSON, NaN, a long int, too deep
                     message = getattr(exc, "msg", exc)
                     raise SchemaError(line=line_no, message=f"invalid JSON: {message}") from None
             record = _record_from(obj, line_no, poses, points)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .coverage import CoverageParams, coverage_fraction
+from .coverage import CoverageParams, coverage_fractions
 
 # Bound here but not called: the benchmark tracer (perfbench/trace.py) wraps
 # the raster coverage functions through these attributes of this module.
@@ -85,30 +85,9 @@ def assemble(
     feature_set: Sequence[str],
     params: CoverageParams = CoverageParams(),
 ) -> np.ndarray:
-    """Extract the requested features from one record, in set order.
-
-    Coverage values are computed with each image's own dimensions.
-    Raises MissingFeature when pv_score is requested but absent.
-    """
-    feature_set = parse_feature_set(feature_set)
-    values = np.empty(len(feature_set), dtype=np.float64)
-    for i, name in enumerate(feature_set):
-        if name == FEATURE_INLIER_COUNT:
-            values[i] = float(len(record.query_inliers))
-        elif name == FEATURE_QUERY_COVERAGE:
-            values[i] = coverage_fraction(record.query_inliers, params)
-        elif name == FEATURE_DB_COVERAGE:
-            values[i] = coverage_fraction(record.db_inliers, params)
-        else:  # pv_score
-            if record.pv_score is None:
-                raise MissingFeature(
-                    f"record {record.query_id!r} (rank {record.candidate_rank}) "
-                    "has no pv_score"
-                )
-            values[i] = float(record.pv_score)
-    if not np.all(np.isfinite(values)):
-        raise InvariantViolation("feature vector contains non-finite values")
-    return values
+    """Extract the requested features from one record, in set order: the
+    row of `feature_matrix` for a batch of one."""
+    return feature_matrix([record], feature_set, params)[0]
 
 
 def feature_matrix(
@@ -116,11 +95,31 @@ def feature_matrix(
     feature_set: Sequence[str],
     params: CoverageParams = CoverageParams(),
 ) -> np.ndarray:
-    """Stack assemble() over records into an (n, k) matrix."""
+    """The (n, k) matrix of the requested features of each record, in set order.
+
+    Coverage values are computed with each image's own dimensions, a column
+    in one `coverage_fractions` call.  Raises MissingFeature, naming the
+    first such record, when pv_score is requested but absent.
+    """
     feature_set = parse_feature_set(feature_set)
-    if not records:
-        return np.zeros((0, len(feature_set)), dtype=np.float64)
-    return np.stack([assemble(r, feature_set, params) for r in records])
+    matrix = np.empty((len(records), len(feature_set)), dtype=np.float64)
+    for j, name in enumerate(feature_set):
+        if name == FEATURE_INLIER_COUNT:
+            matrix[:, j] = [len(r.query_inliers) for r in records]
+        elif name == FEATURE_QUERY_COVERAGE:
+            matrix[:, j] = coverage_fractions([r.query_inliers for r in records], params)
+        elif name == FEATURE_DB_COVERAGE:
+            matrix[:, j] = coverage_fractions([r.db_inliers for r in records], params)
+        else:  # pv_score
+            missing = next((r for r in records if r.pv_score is None), None)
+            if missing is not None:
+                raise MissingFeature(
+                    f"record {missing.query_id!r} (rank {missing.candidate_rank}) has no pv_score"
+                )
+            matrix[:, j] = [float(r.pv_score) for r in records]
+    if not np.all(np.isfinite(matrix)):
+        raise InvariantViolation("feature vector contains non-finite values")
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,7 @@ import pytest
 import poseconf.cli
 import poseconf.confidence_model
 import poseconf.dataset_io
+import poseconf.evaluation
 import poseconf.features
 from conftest import make_record
 from poseconf.cli import main
@@ -550,6 +551,21 @@ class TestScore:
         assert out.read_text() == ""
 
 
+def _count_feature_rows(monkeypatch) -> Counter:
+    """Count the (query_id, candidate_rank) rows that reach feature_matrix,
+    which builds every command's features, through each module that calls it."""
+    calls = Counter()
+    original = poseconf.features.feature_matrix
+
+    def counting(records, *args):
+        calls.update((r.query_id, r.candidate_rank) for r in records)
+        return original(records, *args)
+
+    for module in (poseconf.cli, poseconf.confidence_model, poseconf.evaluation, poseconf.features):
+        monkeypatch.setattr(module, "feature_matrix", counting)
+    return calls
+
+
 class TestEval:
     def test_standard_run_produces_all_artifacts(self, workspace, tmp_path):
         out_dir = tmp_path / "eval"
@@ -733,14 +749,7 @@ class TestEval:
         assert not (out_dir / "report.json").exists()
 
     def test_best_only_scores_one_record_per_query(self, workspace, tmp_path, monkeypatch):
-        calls = Counter()
-        original = poseconf.features.assemble
-
-        def counting(record, *args):
-            calls[(record.query_id, record.candidate_rank)] += 1
-            return original(record, *args)
-
-        monkeypatch.setattr(poseconf.features, "assemble", counting)
+        calls = _count_feature_rows(monkeypatch)
         out_dir = tmp_path / "eval"
         code = main(["eval", "--data", str(workspace["test"]),
                      "--model", str(workspace["model"]),
@@ -749,26 +758,19 @@ class TestEval:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["best_only"] is True
         assert report["n_records"] == report["n_queries"]
-        # the selection pass's scores are reused: each record is assembled once
+        # the selection pass's scores are reused: each record's features are built once
         assert calls and set(calls.values()) == {1}
         assert len(calls) == len(read_records(workspace["test"]))
 
 
     def test_ablate_assembles_each_test_record_once(self, workspace, tmp_path, monkeypatch):
-        calls = Counter()
-        original = poseconf.features.assemble
-
-        def counting(record, *args):
-            calls[(record.query_id, record.candidate_rank)] += 1
-            return original(record, *args)
-
-        monkeypatch.setattr(poseconf.features, "assemble", counting)
+        calls = _count_feature_rows(monkeypatch)
         code = main(["eval", "--data", str(workspace["test"]),
                      "--model", str(workspace["model"]), "--out-dir", str(tmp_path / "eval"),
                      "--ablate", "--train-data", str(workspace["train"])])
         assert code == 0
         # scoring and the ablation table share one matrix; the training
-        # records (other queries) are assembled once more for the fits
+        # records (other queries) are built once more for the fits
         test_keys = {(r.query_id, r.candidate_rank) for r in read_records(workspace["test"])}
         assert test_keys <= calls.keys()
         assert set(calls.values()) == {1}

@@ -1,24 +1,30 @@
 """Tests for coverage maps and coverage scores.
 
-The reference implementation below marks pixels by direct broadcast over
-all inliers, O(n * width * height); the library's separable scan must
-match it bit for bit, and the raster-free coverage_fraction must equal
-the raster's score exactly.
+Two oracles live here.  `reference_map` marks pixels by direct broadcast
+over all inliers, O(n * width * height); the library's separable scan must
+match it bit for bit, and the raster-free coverage_fraction must equal the
+raster's score exactly.  `grid_fraction` counts the union of the windows on
+a grid compressed to their edges, so it checks the block kernel of
+coverage_fractions on images far beyond the raster's reach.
 """
 
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import poseconf.coverage
 from poseconf.coverage import (
     CoverageMap,
     CoverageParams,
     ImageDims,
     InlierSet,
     coverage_fraction,
+    coverage_fractions,
     coverage_map,
     coverage_score,
     neighborhood_half_extents,
@@ -41,6 +47,34 @@ def reference_map(inliers: InlierSet, params: CoverageParams = CoverageParams())
         np.abs(ys[None, :, None] - py) <= hy
     )
     return np.any(near, axis=0)
+
+
+def grid_fraction(inliers: InlierSet, params: CoverageParams = CoverageParams()) -> float:
+    """The covered fraction, counted on a grid compressed to the windows'
+    distinct x and y edges: at most min(2n, W+1) x min(2n, H+1) cells for
+    n inliers on a W x H image, whatever its area."""
+    dims = inliers.dims
+    hx, hy = neighborhood_half_extents(dims, params)
+    hx, hy = min(hx, dims.width), min(hy, dims.height)  # wider windows clip the same
+    xs = inliers.points[:, 0]
+    ys = inliers.points[:, 1]
+    # each window is the half-open pixel range [x0, x1) x [y0, y1); x1 is
+    # clipped before it is formed, as x + hx + 1 can pass int64 on wide images
+    x0, x1 = np.maximum(xs - hx, 0), xs + 1 + np.minimum(hx, dims.width - 1 - xs)
+    y0, y1 = np.maximum(ys - hy, 0), ys + 1 + np.minimum(hy, dims.height - 1 - ys)
+    ex, ix = np.unique(np.concatenate([x0, x1]), return_inverse=True)
+    ey, iy = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    (i0, i1), (j0, j1) = ix.reshape(2, -1), iy.reshape(2, -1) * len(ex)
+    # 2-D difference array over grid cells; after both prefix sums a cell
+    # holds the number of windows covering it.  Cell (j, i) spans
+    # [ex[i], ex[i+1]) x [ey[j], ey[j+1]); the last row and column lie past
+    # every window and stay zero.
+    diff = np.zeros((len(ey), len(ex)), dtype=np.int64)
+    np.add.at(diff.reshape(-1), np.concatenate([j0 + i0, j1 + i1]), 1)
+    np.subtract.at(diff.reshape(-1), np.concatenate([j0 + i1, j1 + i0]), 1)
+    covered = np.cumsum(np.cumsum(diff, axis=0), axis=1)[:-1, :-1] > 0
+    area = int(np.diff(ey) @ covered @ np.diff(ex))
+    return area / dims.pixel_count
 
 
 class TestHalfExtents:
@@ -310,3 +344,70 @@ def test_pgm_export_bytes(tmp_path):
     write_pgm(cmap, path)
     data = path.read_bytes()
     assert data == b"P5\n3 2\n255\n" + bytes([255, 0, 255, 0, 255, 0])
+
+
+@st.composite
+def batches(draw):
+    """Images of any size W x H <= 2**63 - 1, alone or together, with random
+    params, empty sets, duplicates and points at the borders or in a cluster."""
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        w, h = draw(st.one_of(
+            st.sampled_from([(1, 2**63 - 1), (2**63 - 1, 1), (3037000499, 3037000499)]),
+            st.tuples(st.integers(1, 48), st.integers(1, 48)),
+            st.integers(1, 2**63 - 1).flatmap(
+                lambda w: st.tuples(st.just(w), st.integers(1, (2**63 - 1) // w))
+            ),
+        ))
+        cx, cy = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+        xs = st.one_of(
+            st.sampled_from([0, w - 1]), st.integers(0, w - 1),
+            st.integers(max(cx - 12, 0), min(cx + 12, w - 1)),
+        )
+        ys = st.one_of(
+            st.sampled_from([0, h - 1]), st.integers(0, h - 1),
+            st.integers(max(cy - 12, 0), min(cy + 12, h - 1)),
+        )
+        points = draw(st.lists(st.tuples(xs, ys), max_size=30))
+        if points:
+            points += draw(st.lists(st.sampled_from(points), max_size=5))  # duplicates
+        sets.append(InlierSet(np.array(points, dtype=np.int64).reshape(-1, 2), ImageDims(w, h)))
+    params = CoverageParams(
+        neighborhood_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        min_half_extent=draw(st.one_of(st.integers(1, 6), st.integers(1, 2**70))),
+    )
+    return sets, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=batches())
+@example(case=(  # windows wider than images as wide or as tall as int64 allows
+    [InlierSet(np.array([[0, 0], [2**63 - 2, 0]]), ImageDims(2**63 - 1, 1)),
+     InlierSet(np.array([[0, 2**62]]), ImageDims(1, 2**63 - 1))],
+    CoverageParams(min_half_extent=2**70),
+))
+def test_batch_equals_grid_oracle_on_any_image(case):
+    sets, params = case
+    expected = [grid_fraction(s, params) for s in sets]
+    assert coverage_fractions(sets, params) == expected
+    assert [coverage_fraction(s, params) for s in sets] == expected
+    with mock.patch.object(poseconf.coverage, "INLIER_BUDGET", 5):  # batches cut between sets
+        assert coverage_fractions(sets, params) == expected
+
+
+def _peak_mb(batch) -> float:
+    coverage_fractions(batch)  # any first-call allocation is not the kernel's
+    tracemalloc.start()
+    try:
+        coverage_fractions(batch)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_grows_with_the_inliers_not_the_area():
+    rng = np.random.default_rng(8000)
+    points = np.column_stack([rng.integers(0, 4032, 8000), rng.integers(0, 3024, 8000)])
+    assert _peak_mb([InlierSet(points, ImageDims(4032, 3024))]) < 8  # an area-sized grid is 60 MB
+    tall = InlierSet(np.array([[0, 0], [0, 2**62], [0, 2**63 - 2]]), ImageDims(1, 2**63 - 1))
+    assert _peak_mb([tall]) < 1

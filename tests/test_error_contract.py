@@ -188,6 +188,7 @@ def test_score_with_a_model_of_non_numbers_names_the_field(score_dir, field, val
 
 
 LONG_INT = "1" * 5000  # beyond the digits Python's json converts to int
+DEEP = "[" * 1000 + "]" * 1000  # beyond the nesting Python's json decodes at the default recursion limit
 RECORD_TEXT = json.dumps(RECORD_DOCS[0])
 MODEL_TEXT = json.dumps(MODEL_DOC)
 
@@ -200,8 +201,12 @@ MODEL_TEXT = json.dumps(MODEL_DOC)
         ("model", "not json"),
         ("model", MODEL_TEXT.replace('"format_version": 1', f'"format_version": {LONG_INT}')),
         ("model", b"\xff\xfe{}"),
+        ("data", RECORD_TEXT[:-1] + f', "deep": {DEEP}}}'),
+        ("model", MODEL_TEXT[:-1] + f', "deep": {DEEP}}}'),
+        ("model", MODEL_TEXT.replace('"training_meta": {', f'"training_meta": {{"deep": {DEEP}, ', 1)),
     ],
-    ids=["long-int-record", "non-utf8-data", "model-not-json", "long-int-model", "non-utf8-model"],
+    ids=["long-int-record", "non-utf8-data", "model-not-json", "long-int-model", "non-utf8-model",
+         "deep-record", "deep-model", "deep-training-meta"],
 )
 def test_unreadable_text_fails_on_one_line(tmp_path, capsys, target, text):
     paths = {"data": tmp_path / "data.jsonl", "model": tmp_path / "model.json"}
