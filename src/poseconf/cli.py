@@ -52,11 +52,14 @@ from .dataset_io import serialize_record  # noqa: F401
 from .evaluation import select_best  # noqa: F401
 
 
-def _same_file(a: str, b: str) -> bool:
-    try:  # samefile finds hard links, and raises for a file that does not exist
-        return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
+def _file_key(path: str) -> tuple[str, tuple[int, int] | None]:
+    """The resolved path, and the (device, inode) pair of an existing file,
+    which finds hard links too."""
+    try:
+        st = os.stat(path)
     except OSError:
-        return False
+        return os.path.realpath(path), None
+    return os.path.realpath(path), (st.st_dev, st.st_ino)
 
 
 class _Files:
@@ -77,12 +80,13 @@ class _Files:
         inputs = {name: path for name, path in inputs.items() if path}
         outputs = {name: path for name, path in outputs.items() if path}
         check_writable(*outputs.values(), make_dirs=out_dir is not None)
-        named = list(inputs.items())
+        named = [(name, _file_key(path)) for name, path in inputs.items()]
         for name, path in outputs.items():
-            for other, other_path in named:
-                if _same_file(path, other_path):
+            real, inode = key = _file_key(path)
+            for other, (other_real, other_inode) in named:
+                if real == other_real or (inode is not None and inode == other_inode):
                     raise InvalidConfig(f"{other} and {name} name the same file {path!r}")
-            named.append((name, path))
+            named.append((name, key))
         self.inputs = list(inputs.values())
         *written, (_, self.manifest) = outputs.items()
         self.outputs = dict(written)  # what the manifest lists as written
@@ -552,24 +556,24 @@ def entry() -> None:
     """Run the CLI as a process of its own (the `poseconf` script, `python -m`).
 
     The imports leave tens of thousands of objects that the cyclic collector
-    would rescan in every full collection, at exit too; `gc.freeze` moves them
-    to the permanent generation, and objects the run makes are collected as
-    before.  `main` does not freeze, so in-process callers keep a normal heap.
-    A closed stdout ends the run with one error line, buffered or not.
+    would rescan in every full collection; `gc.freeze` moves them to the
+    permanent generation, and objects the run makes are collected as before.
+    `main` does not freeze, so in-process callers keep a normal heap.  The
+    process ends through `os._exit` once both streams are flushed: every
+    file is closed by then, and tearing the interpreter down would only free
+    memory that the exit returns anyway.  A closed stdout ends the run with
+    one error line, buffered or not.
     """
     gc.freeze()
     code = main()
     try:
         sys.stdout.flush()
     except BrokenPipeError as exc:
-        # point stdout at devnull so the interpreter's final flush stays quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         if code == 0:  # a failed run has printed its one error line already
             print(f"error: {exc}", file=sys.stderr)
             code = 1
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from ._frozen import Frozen
 from .coverage import CoverageParams
 from .errors import (
     DimensionMismatch,
@@ -70,16 +70,16 @@ def _softplus(m: np.ndarray) -> np.ndarray:
     return np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
 
 
-@dataclass(frozen=True, eq=False)
-class TrainData:
-    """Standardized design matrix plus binary labels."""
+class TrainData(Frozen):
+    """Standardized design matrix, (n, k), plus binary labels, (n,) in {0.0, 1.0}."""
 
-    z: np.ndarray  # (n, k) standardized features
-    y: np.ndarray  # (n,) labels in {0.0, 1.0}
+    __slots__ = _fields = ("z", "y")
+    __eq__ = object.__eq__  # compared by identity
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64).reshape(-1)
+    def __init__(self, z: np.ndarray, y: np.ndarray):
+        z = np.asarray(z, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
         if z.ndim != 2:
             raise DimensionMismatch(f"z must be (n, k), got shape {z.shape}")
         if z.shape[0] != y.shape[0]:
@@ -93,29 +93,30 @@ class TrainData:
         return self.z.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ConfidenceModel:
-    feature_set: tuple[str, ...]
-    weights: np.ndarray  # in standardized feature space
-    bias: float
-    standardizer: Standardizer
-    training_meta: dict = field(default_factory=dict)
+class ConfidenceModel(Frozen):
+    """Logistic weights in standardized feature space, the standardizer, and
+    what the fit recorded (`training_meta`, a new dict when not given)."""
 
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        feature_set = tuple(self.feature_set)
+    __slots__ = _fields = ("feature_set", "weights", "bias", "standardizer", "training_meta")
+
+    def __init__(self, feature_set: tuple[str, ...], weights: np.ndarray, bias: float,
+                 standardizer: Standardizer, training_meta: dict | None = None):
+        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+        feature_set = tuple(feature_set)
         if weights.shape[0] != len(feature_set):
             raise DimensionMismatch(
                 f"{len(feature_set)} features but {weights.shape[0]} weights"
             )
-        if len(self.standardizer) != len(feature_set):
+        if len(standardizer) != len(feature_set):
             raise DimensionMismatch(
                 f"{len(feature_set)} features but standardizer expects "
-                f"{len(self.standardizer)}"
+                f"{len(standardizer)}"
             )
         object.__setattr__(self, "feature_set", feature_set)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "bias", float(bias))
+        object.__setattr__(self, "standardizer", standardizer)
+        object.__setattr__(self, "training_meta", {} if training_meta is None else training_meta)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConfidenceModel):
@@ -206,13 +207,19 @@ def prepare_train_data(
     return TrainData(apply_standardizer(standardizer, x), y), standardizer
 
 
-@dataclass(frozen=True)
-class TrainResult:
-    model: ConfidenceModel
-    final_loss: float
-    epochs_run: int
-    converged: bool
-    loss_history: tuple[float, ...]  # loss before the first and after each iteration
+class TrainResult(Frozen):
+    """A fitted model and how its fit went; `loss_history` holds the loss
+    before the first and after each iteration."""
+
+    __slots__ = _fields = ("model", "final_loss", "epochs_run", "converged", "loss_history")
+
+    def __init__(self, model: ConfidenceModel, final_loss: float, epochs_run: int,
+                 converged: bool, loss_history: tuple[float, ...]):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "final_loss", final_loss)
+        object.__setattr__(self, "epochs_run", epochs_run)
+        object.__setattr__(self, "converged", converged)
+        object.__setattr__(self, "loss_history", loss_history)
 
 
 def train_features(

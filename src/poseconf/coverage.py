@@ -16,11 +16,10 @@ reference the tests compare against.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen, is_integer, is_number
 from .errors import InvalidConfig, InvariantViolation
 from .fileio import atomic_open
 
@@ -29,42 +28,39 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 INLIER_BUDGET = 4096  # inliers per batch of the coverage kernel
 
 
-@dataclass(frozen=True)
-class ImageDims:
-    width: int
-    height: int
+class ImageDims(Frozen):
+    __slots__ = _fields = ("width", "height")
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise InvariantViolation(
-                f"image dims must be >= 1, got {self.width}x{self.height}"
-            )
+    def __init__(self, width: int, height: int):
+        if not (is_integer(width) and is_integer(height)):
+            raise InvariantViolation(f"image dims must be integers, got {width!r}x{height!r}")
+        if width < 1 or height < 1:
+            raise InvariantViolation(f"image dims must be >= 1, got {width}x{height}")
         # coverage_fraction sums the covered area in int64, which would wrap
-        if self.width * self.height > INT64_MAX:
-            raise InvariantViolation(f"{self.width} x {self.height} pixels is out of range")
+        if width * height > INT64_MAX:
+            raise InvariantViolation(f"{width} x {height} pixels is out of range")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
 
     @property
     def pixel_count(self) -> int:
         return self.width * self.height
 
 
-@dataclass(frozen=True)
-class CoverageParams:
-    neighborhood_fraction: float = DEFAULT_NEIGHBORHOOD_FRACTION
-    min_half_extent: int = 1
+class CoverageParams(Frozen):
+    __slots__ = _fields = ("neighborhood_fraction", "min_half_extent")
 
-    def __post_init__(self):
-        fraction, extent = self.neighborhood_fraction, self.min_half_extent
-        # a bool is a numbers.Integral, so each check refuses it by type
-        real = isinstance(fraction, numbers.Real) and not isinstance(fraction, bool)
-        if not (real and 0 < fraction <= 1):
+    def __init__(self, neighborhood_fraction: float = DEFAULT_NEIGHBORHOOD_FRACTION,
+                 min_half_extent: int = 1):
+        if not (is_number(neighborhood_fraction) and 0 < neighborhood_fraction <= 1):
             raise InvalidConfig("neighborhood_fraction must be in (0, 1]")
-        if isinstance(extent, bool) or not (isinstance(extent, numbers.Integral) and extent >= 1):
+        if not (is_integer(min_half_extent) and min_half_extent >= 1):
             raise InvalidConfig("min_half_extent must be an integer >= 1")
+        object.__setattr__(self, "neighborhood_fraction", neighborhood_fraction)
+        object.__setattr__(self, "min_half_extent", min_half_extent)
 
 
-@dataclass(frozen=True, eq=False)
-class InlierSet:
+class InlierSet(Frozen):
     """Inlier pixel coordinates bound to the image they were detected in.
 
     Keeps integer coordinates exact, accepts float positions (floored to
@@ -73,11 +69,11 @@ class InlierSet:
     rejected here, at construction.
     """
 
-    points: np.ndarray  # (n, 2) int64, columns (x, y)
-    dims: ImageDims
+    __slots__ = _fields = ("points", "dims")
 
-    def __post_init__(self):
-        pts = np.asarray(self.points)
+    def __init__(self, points: np.ndarray, dims: ImageDims):
+        """`points` is (n, 2), columns (x, y); it is kept as int64."""
+        pts = np.asarray(points)
         # float64 holds integers exactly only up to 2**53, so integer dtypes go
         # to int64 directly; uint64 values past int64 wrap to negatives there,
         # which the bounds check rejects
@@ -97,13 +93,14 @@ class InlierSet:
             if (
                 pts[:, 0].min() < 0
                 or pts[:, 1].min() < 0
-                or pts[:, 0].max() >= self.dims.width
-                or pts[:, 1].max() >= self.dims.height
+                or pts[:, 0].max() >= dims.width
+                or pts[:, 1].max() >= dims.height
             ):
                 raise InvariantViolation(
-                    f"inlier outside {self.dims.width}x{self.dims.height} image"
+                    f"inlier outside {dims.width}x{dims.height} image"
                 )
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "dims", dims)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -114,18 +111,18 @@ class InlierSet:
         return self.dims == other.dims and np.array_equal(self.points, other.points)
 
 
-@dataclass(frozen=True, eq=False)
-class CoverageMap:
-    dims: ImageDims
-    covered: np.ndarray  # (height, width) bool
+class CoverageMap(Frozen):
+    __slots__ = _fields = ("dims", "covered")
 
-    def __post_init__(self):
-        grid = np.asarray(self.covered, dtype=bool)
-        if grid.shape != (self.dims.height, self.dims.width):
+    def __init__(self, dims: ImageDims, covered: np.ndarray):
+        """`covered` is the (height, width) bool grid."""
+        grid = np.asarray(covered, dtype=bool)
+        if grid.shape != (dims.height, dims.width):
             raise InvariantViolation(
                 f"coverage grid shape {grid.shape} does not match dims "
-                f"{self.dims.height}x{self.dims.width}"
+                f"{dims.height}x{dims.width}"
             )
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "covered", grid)
 
     def __eq__(self, other: object) -> bool:

@@ -20,12 +20,12 @@ import random
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._frozen import Frozen, is_integer, is_number
 from .coverage import INT64_MAX, ImageDims, InlierSet
 from .errors import (
     InvalidConfig,
@@ -40,46 +40,47 @@ from .pose_metrics import ErrorThreshold, Pose, is_correct, pose_error, refused_
 MIN_CORRESPONDENCES = 3  # below this, estimation is trivially failed
 
 
-@dataclass(frozen=True, eq=False)
-class PoseRecord:
+class PoseRecord(Frozen):
     """One (query image, database candidate) pair with its estimated pose."""
 
-    query_id: str
-    candidate_rank: int
-    query_inliers: InlierSet
-    db_inliers: InlierSet
-    num_correspondences: int
-    estimated_pose: Pose
-    ground_truth_pose: Pose | None = None
-    pv_score: float | None = None
-    # the JSON text this record was parsed from; `record_lines` writes it back,
-    # a confidence appended.  Not an init field, so built or replaced records
-    # carry none.
-    source: str | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("query_id", "candidate_rank", "query_inliers", "db_inliers",
+               "num_correspondences", "estimated_pose", "ground_truth_pose", "pv_score")
+    # `source` is the JSON text this record was parsed from; `record_lines`
+    # writes it back, a confidence appended.  It is no argument, so built
+    # records carry none, and neither `==` nor `repr` shows it.
+    __slots__ = (*_fields, "source")
 
-    def __post_init__(self):
-        if not isinstance(self.query_id, str):
+    def __init__(self, query_id: str, candidate_rank: int, query_inliers: InlierSet,
+                 db_inliers: InlierSet, num_correspondences: int, estimated_pose: Pose,
+                 ground_truth_pose: Pose | None = None, pv_score: float | None = None):
+        if not isinstance(query_id, str):
             raise InvariantViolation("query_id must be a string")
-        if self.candidate_rank < 1:
+        if candidate_rank < 1:
+            raise InvariantViolation(f"candidate_rank must be >= 1, got {candidate_rank}")
+        if num_correspondences < 0:
             raise InvariantViolation(
-                f"candidate_rank must be >= 1, got {self.candidate_rank}"
+                f"num_correspondences must be >= 0, got {num_correspondences}"
             )
-        if self.num_correspondences < 0:
-            raise InvariantViolation(
-                f"num_correspondences must be >= 0, got {self.num_correspondences}"
-            )
-        if len(self.query_inliers) != len(self.db_inliers):
+        if len(query_inliers) != len(db_inliers):
             raise InvariantViolation(
                 "inliers are matched pairs: query has "
-                f"{len(self.query_inliers)}, db has {len(self.db_inliers)}"
+                f"{len(query_inliers)}, db has {len(db_inliers)}"
             )
-        if len(self.query_inliers) > self.num_correspondences:
+        if len(query_inliers) > num_correspondences:
             raise InvariantViolation(
-                f"{len(self.query_inliers)} inliers exceed "
-                f"{self.num_correspondences} correspondences"
+                f"{len(query_inliers)} inliers exceed {num_correspondences} correspondences"
             )
-        if self.pv_score is not None and not math.isfinite(self.pv_score):
-            raise InvariantViolation(f"pv_score must be finite, got {self.pv_score}")
+        if pv_score is not None and not math.isfinite(pv_score):
+            raise InvariantViolation(f"pv_score must be finite, got {pv_score}")
+        object.__setattr__(self, "query_id", query_id)
+        object.__setattr__(self, "candidate_rank", candidate_rank)
+        object.__setattr__(self, "query_inliers", query_inliers)
+        object.__setattr__(self, "db_inliers", db_inliers)
+        object.__setattr__(self, "num_correspondences", num_correspondences)
+        object.__setattr__(self, "estimated_pose", estimated_pose)
+        object.__setattr__(self, "ground_truth_pose", ground_truth_pose)
+        object.__setattr__(self, "pv_score", pv_score)
+        object.__setattr__(self, "source", None)
 
     @property
     def query_dims(self) -> ImageDims:
@@ -111,18 +112,20 @@ class PoseRecord:
         )
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.75
-    seed: int = 0
+class SplitSpec(Frozen):
+    __slots__ = _fields = ("train_fraction", "seed")
 
-    def __post_init__(self):
-        if not (0.0 < self.train_fraction < 1.0):
-            raise InvalidConfig(
-                f"train_fraction must lie in (0, 1), got {self.train_fraction}"
-            )
-        if self.seed < 0:  # random.Random would shuffle as for abs(seed)
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+    def __init__(self, train_fraction: float = 0.75, seed: int = 0):
+        if not is_number(train_fraction):  # a bool is no number
+            raise InvalidConfig(f"train_fraction must be a number, got {train_fraction!r}")
+        if not is_integer(seed):
+            raise InvalidConfig(f"seed must be an integer, got {seed!r}")
+        if not (0.0 < train_fraction < 1.0):
+            raise InvalidConfig(f"train_fraction must lie in (0, 1), got {train_fraction}")
+        if seed < 0:  # random.Random would shuffle as for abs(seed)
+            raise InvalidConfig(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "train_fraction", train_fraction)
+        object.__setattr__(self, "seed", seed)
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +646,7 @@ FAILED_QUERY_FRACTION = 0.2
 SYNTH_THRESHOLD = ErrorThreshold()
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Frozen):
     """Generator settings for the synthetic benchmark.
 
     Candidates fall into several regimes.  Correct poses come well-spread
@@ -658,16 +660,17 @@ class SynthConfig:
     extended-dataset filter drops.
     """
 
-    queries: int = 200
-    candidates_per_query: int = 10
-    width: int = 320
-    height: int = 240
-    correct_fraction: float = 0.45
-    adversarial_fraction: float = 0.35
-    junk_fraction: float = 0.0
-    include_pv: bool = False
+    __slots__ = _fields = ("queries", "candidates_per_query", "width", "height", "correct_fraction",
+                           "adversarial_fraction", "junk_fraction", "include_pv")
 
-    def __post_init__(self):
+    def __init__(self, queries: int = 200, candidates_per_query: int = 10, width: int = 320,
+                 height: int = 240, correct_fraction: float = 0.45,
+                 adversarial_fraction: float = 0.35, junk_fraction: float = 0.0,
+                 include_pv: bool = False):
+        values = (queries, candidates_per_query, width, height, correct_fraction,
+                  adversarial_fraction, junk_fraction, include_pv)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
         for name in ("queries", "candidates_per_query", "width", "height", "include_pv"):
             kind, value = bool if name == "include_pv" else int, getattr(self, name)
             if type(value) is not kind:  # exact, as a record file holds it: a bool is no int

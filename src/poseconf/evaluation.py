@@ -9,11 +9,11 @@ in the test suite, so fast path and oracle are comparable exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._frozen import Frozen
 from .confidence_model import predict, train_features
 from .coverage import CoverageParams
 from .dataset_io import PoseRecord, label_records
@@ -24,15 +24,13 @@ from .pose_metrics import ErrorThreshold
 _AUC_CONSISTENCY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PRCurve:
+class PRCurve(Frozen):
     """Points (recall, precision) ordered by recall, plus their trapezoid area."""
 
-    points: tuple[tuple[float, float], ...]
-    auc: float
+    __slots__ = _fields = ("points", "auc")
 
-    def __post_init__(self):
-        points = tuple((float(r), float(p)) for r, p in self.points)
+    def __init__(self, points: tuple[tuple[float, float], ...], auc: float):
+        points = tuple((float(r), float(p)) for r, p in points)
         if not points:
             raise InvariantViolation("a curve needs at least one point")
         for r, p in points:
@@ -41,12 +39,12 @@ class PRCurve:
         recalls = [r for r, _ in points]
         if any(b < a for a, b in zip(recalls, recalls[1:])):
             raise InvariantViolation("recall must be non-decreasing along the curve")
-        if not (0.0 <= self.auc <= 1.0):
-            raise InvariantViolation(f"auc must lie in [0, 1], got {self.auc}")
-        if len(points) >= 2 and abs(self.auc - _trapezoid(points)) > _AUC_CONSISTENCY_TOL:
+        if not (0.0 <= auc <= 1.0):
+            raise InvariantViolation(f"auc must lie in [0, 1], got {auc}")
+        if len(points) >= 2 and abs(auc - _trapezoid(points)) > _AUC_CONSISTENCY_TOL:
             raise InvariantViolation("stored auc does not match the curve points")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "auc", float(self.auc))
+        object.__setattr__(self, "auc", float(auc))
 
 
 def _trapezoid(points: Sequence[tuple[float, float]]) -> float:
@@ -204,15 +202,18 @@ def ablation(
     return rows
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Frozen):
     """One relabeling of the evaluation set: both AUCs, or a degenerate marker."""
 
-    threshold: ErrorThreshold
-    n_records: int
-    n_positive: int
-    model_auc: float | None
-    inliers_auc: float | None
+    __slots__ = _fields = ("threshold", "n_records", "n_positive", "model_auc", "inliers_auc")
+
+    def __init__(self, threshold: ErrorThreshold, n_records: int, n_positive: int,
+                 model_auc: float | None, inliers_auc: float | None):
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "n_records", n_records)
+        object.__setattr__(self, "n_positive", n_positive)
+        object.__setattr__(self, "model_auc", model_auc)
+        object.__setattr__(self, "inliers_auc", inliers_auc)
 
     @property
     def degenerate(self) -> bool:

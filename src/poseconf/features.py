@@ -10,11 +10,11 @@ affine reparameterization, see `raw_space_parameters`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from ._frozen import Frozen
 from .coverage import CoverageParams, coverage_fractions
 
 # Bound here but not called: the benchmark tracer (perfbench/trace.py) wraps
@@ -122,16 +122,15 @@ def feature_matrix(
     return matrix
 
 
-@dataclass(frozen=True, eq=False)
-class Standardizer:
-    """Per-feature centering and scaling fitted on training data only."""
+class Standardizer(Frozen):
+    """Per-feature centering and scaling fitted on training data only; the
+    stds are floored at STD_FLOOR, so constant features map to zero."""
 
-    means: np.ndarray
-    stds: np.ndarray  # floored at STD_FLOOR so constant features map to zero
+    __slots__ = _fields = ("means", "stds")
 
-    def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64).reshape(-1)
-        stds = np.asarray(self.stds, dtype=np.float64).reshape(-1)
+    def __init__(self, means: np.ndarray, stds: np.ndarray):
+        means = np.asarray(means, dtype=np.float64).reshape(-1)
+        stds = np.asarray(stds, dtype=np.float64).reshape(-1)
         if means.shape != stds.shape:
             raise DimensionMismatch(
                 f"means length {means.shape[0]} != stds length {stds.shape[0]}"

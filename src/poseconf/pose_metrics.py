@@ -3,30 +3,28 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen, is_number
 from .errors import InvariantViolation
 
 ORTHONORMALITY_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class Pose:
+class Pose(Frozen):
     """World-to-camera transform: x_cam = rotation @ x_world + translation.
 
-    The rotation must be orthonormal with determinant +1 (checked to
-    absolute tolerance 1e-6, loose enough for single-precision upstream
-    pipelines).
+    The rotation (3, 3, row-major) must be orthonormal with determinant +1
+    (checked to absolute tolerance 1e-6, loose enough for single-precision
+    upstream pipelines); the translation is a 3-vector in meters.
     """
 
-    rotation: np.ndarray  # (3, 3), row-major
-    translation: np.ndarray  # (3,), meters
+    __slots__ = _fields = ("rotation", "translation")
 
-    def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        trans = np.asarray(self.translation, dtype=np.float64)
+    def __init__(self, rotation: np.ndarray, translation: np.ndarray):
+        rot = np.asarray(rotation, dtype=np.float64)
+        trans = np.asarray(translation, dtype=np.float64)
         if rot.shape != (3, 3):
             raise InvariantViolation(f"rotation must be 3x3, got shape {rot.shape}")
         if trans.shape != (3,):
@@ -87,31 +85,40 @@ def refused_poses(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray
     return out_of_tolerance | ~finite
 
 
-@dataclass(frozen=True)
-class ErrorThreshold:
+class ErrorThreshold(Frozen):
     """Correctness bounds: translation in meters, rotation in degrees."""
 
-    max_translation_m: float = 1.0
-    max_rotation_deg: float = 10.0
+    __slots__ = _fields = ("max_translation_m", "max_rotation_deg")
 
-    def __post_init__(self):
+    def __init__(self, max_translation_m: float = 1.0, max_rotation_deg: float = 10.0):
+        _require_number("max_translation_m", max_translation_m)
+        _require_number("max_rotation_deg", max_rotation_deg)
         # finite, so every threshold written to a strict JSON report is valid
-        if not (self.max_translation_m > 0 and math.isfinite(self.max_translation_m)):
+        if not (max_translation_m > 0 and math.isfinite(max_translation_m)):
             raise InvariantViolation("max_translation_m must be finite and > 0")
-        if not 0 < self.max_rotation_deg <= 180:
+        if not 0 < max_rotation_deg <= 180:
             raise InvariantViolation("max_rotation_deg must be in (0, 180]")
+        object.__setattr__(self, "max_translation_m", max_translation_m)
+        object.__setattr__(self, "max_rotation_deg", max_rotation_deg)
 
 
-@dataclass(frozen=True)
-class PoseError:
-    translation_m: float
-    rotation_deg: float
+class PoseError(Frozen):
+    __slots__ = _fields = ("translation_m", "rotation_deg")
 
-    def __post_init__(self):
-        if not self.translation_m >= 0:
+    def __init__(self, translation_m: float, rotation_deg: float):
+        _require_number("translation_m", translation_m)
+        _require_number("rotation_deg", rotation_deg)
+        if not translation_m >= 0:
             raise InvariantViolation("translation_m must be >= 0")
-        if not 0 <= self.rotation_deg <= 180:
+        if not 0 <= rotation_deg <= 180:
             raise InvariantViolation("rotation_deg must be in [0, 180]")
+        object.__setattr__(self, "translation_m", translation_m)
+        object.__setattr__(self, "rotation_deg", rotation_deg)
+
+
+def _require_number(name: str, value) -> None:
+    if not is_number(value):  # a bool is no number
+        raise InvariantViolation(f"{name} must be a number, got {value!r}")
 
 
 def translation_error(estimated: Pose, ground_truth: Pose) -> float:

@@ -102,6 +102,8 @@ class TestEntry:
         # pytest's own heap is never frozen
         monkeypatch.setattr(poseconf.cli.gc, "freeze", lambda: calls.append("freeze"))
         monkeypatch.setattr(poseconf.cli, "main", lambda: calls.append("main") or 3)
+        # the process would end here, pytest with it
+        monkeypatch.setattr(poseconf.cli.os, "_exit", lambda code: sys.exit(code))
         with pytest.raises(SystemExit) as info:
             poseconf.cli.entry()
         assert calls == ["freeze", "main"]
@@ -143,6 +145,41 @@ class TestEntry:
         assert proc.stderr.splitlines() == ["error: [Errno 32] Broken pipe"]
         assert len(read_records(tmp_path / "data.jsonl")) == 4
         assert (tmp_path / "data.jsonl.manifest.json").is_file()
+
+
+class TestStartUp:
+    """What importing the package costs a process, checked without timings."""
+
+    CHILD = (
+        "import gc, json, sys\n"
+        "if sys.argv[1] == 'off':\n"
+        "    gc.disable()\n"
+        "before = gc.isenabled()\n"
+        "seen = []\n"
+        "gc.callbacks.append(lambda phase, info: seen.append((phase, info['generation'])))\n"
+        "import poseconf\n"
+        "collections, after = list(seen), gc.isenabled()\n"
+        "import poseconf.cli\n"
+        "print(json.dumps([before, after, collections, 'dataclasses' in sys.modules]))\n"
+    )
+
+    @pytest.mark.parametrize("collector", ["on", "off"])
+    def test_import_runs_no_collection_and_builds_no_dataclass(self, collector):
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, collector], env=child_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        before, after, collections, dataclasses_loaded = json.loads(proc.stdout)
+        assert before == after == (collector == "on")
+        assert collections == []
+        assert not dataclasses_loaded
+
+    def test_import_leaves_a_frozen_heap_frozen(self):
+        # gc.get_objects lists the tracked objects of every generation but the frozen one
+        child = ("import gc\nx = [[]]\ngc.freeze()\nimport poseconf\n"
+                 "assert not any(o is x for o in gc.get_objects())\n")
+        proc = subprocess.run([sys.executable, "-c", child], env=child_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSynth:

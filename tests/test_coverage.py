@@ -194,6 +194,16 @@ class TestValidation:
         with pytest.raises(InvariantViolation):
             ImageDims(10, -1)
 
+    @pytest.mark.parametrize("width, height", [
+        (2.5, 3), (3, 2.0), (True, 5), (5, False), ("4", 3), (None, 3),
+    ])
+    def test_image_dims_refuse_a_non_integer_by_type(self, width, height):
+        with pytest.raises(InvariantViolation, match="must be integers"):
+            ImageDims(width, height)
+
+    def test_image_dims_take_any_integer_type(self):
+        assert ImageDims(np.int64(4), np.uint16(3)).pixel_count == 12
+
     def test_pixel_count_must_fit_int64(self):
         # coverage_fraction sums the covered area in int64; 2**62 x 24 would wrap
         with pytest.raises(InvariantViolation):

@@ -1,7 +1,6 @@
 """Tests for record parsing, serialization, splitting, and the generator."""
 
 import copy
-import dataclasses
 import json
 import math
 import random
@@ -433,7 +432,10 @@ class TestSourcePassThrough:
 
     def test_replaced_record_re_encodes(self):
         (record,) = parse_records([self.LINE])
-        moved = dataclasses.replace(record, candidate_rank=2)
+        fields = {name: getattr(record, name) for name in (
+            "query_id", "query_inliers", "db_inliers", "num_correspondences",
+            "estimated_pose", "ground_truth_pose", "pv_score")}
+        moved = PoseRecord(candidate_rank=2, **fields)
         assert moved.source is None
         assert list(record_lines([moved])) == [self.canonical(moved)]
 
@@ -974,6 +976,18 @@ class TestGroupedSplit:
             SplitSpec(0.0)
         with pytest.raises(InvalidConfig):
             SplitSpec(1.0)
+
+    @pytest.mark.parametrize("args, kwargs, field", [
+        ((0.5,), {"seed": 1.5}, "seed"),
+        ((0.5,), {"seed": True}, "seed"),
+        ((0.5,), {"seed": "1"}, "seed"),
+        (("0.5",), {}, "train_fraction"),
+        ((True,), {}, "train_fraction"),
+        ((None,), {}, "train_fraction"),
+    ])
+    def test_split_spec_refuses_a_wrong_type(self, args, kwargs, field):
+        with pytest.raises(InvalidConfig, match=f"{field} must be"):
+            SplitSpec(*args, **kwargs)
 
     def test_negative_seed_is_a_config_error(self):
         with pytest.raises(InvalidConfig, match="seed"):

@@ -32,6 +32,34 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in read]
 
 
+def imported_modules(source: str) -> set[str]:
+    """Every absolute module an import statement of `source` names, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+def test_no_module_imports_dataclasses(module):
+    # building dataclasses costs every process most of the package's import
+    names = imported_modules((PACKAGE / module).read_text(encoding="utf-8"))
+    assert not {name for name in names if name.split(".")[0] == "dataclasses"}
+
+
+def test_the_check_finds_dataclasses_imports():
+    source = (
+        "import os, dataclasses as dc\n"
+        "from dataclasses import field\n"
+        "from . import dataclasses\n"
+        "def f():\n    import dataclasses.x\n"
+    )
+    assert imported_modules(source) == {"os", "dataclasses", "dataclasses.x"}
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -218,6 +218,34 @@ def test_threshold_validation():
     ErrorThreshold(1.0, 180.0)  # inclusive upper bound
 
 
+@pytest.mark.parametrize("args, field", [
+    ((True, 10.0), "max_translation_m"),
+    (("1", 10.0), "max_translation_m"),
+    ((None, 10.0), "max_translation_m"),
+    ((1.0, False), "max_rotation_deg"),
+    ((1.0, "10"), "max_rotation_deg"),
+])
+def test_threshold_refuses_a_non_number_by_type(args, field):
+    with pytest.raises(InvariantViolation, match=f"{field} must be a number"):
+        ErrorThreshold(*args)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((True, 5.0), "translation_m"),
+    (("0.5", 5.0), "translation_m"),
+    ((0.5, False), "rotation_deg"),
+    ((0.5, None), "rotation_deg"),
+])
+def test_pose_error_refuses_a_non_number_by_type(args, field):
+    with pytest.raises(InvariantViolation, match=f"{field} must be a number"):
+        PoseError(*args)
+
+
+def test_numpy_numbers_are_numbers():
+    assert ErrorThreshold(np.float32(0.5), np.int64(10)).max_rotation_deg == 10
+    assert PoseError(np.float64(0.5), np.int32(3)).translation_m == 0.5
+
+
 def test_pose_error_validation():
     with pytest.raises(InvariantViolation):
         PoseError(-0.1, 5.0)
