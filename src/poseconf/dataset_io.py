@@ -502,9 +502,47 @@ def serialize_record(record: PoseRecord, confidence: float | None = None) -> dic
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
+_WORD_LIMIT = 1 << 16  # coordinates below this are formatted through the word tables
+_word_tables: tuple[np.ndarray, np.ndarray] | None = None  # built and grown on first use
+
+
+def _coordinate_words(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The text `[v,` and `v],` of each v < `size` (at most _WORD_LIMIT), each
+    as the uint64 whose little-endian bytes are that text, NUL-padded to 8."""
+    v = np.arange(size, dtype=np.uint64)
+    ndigits = np.ones(size, dtype=np.uint64)
+    for power in (10, 100, 1000, 10000):
+        ndigits += v >= power
+    digits = np.zeros(size, dtype=np.uint64)
+    for i in range(5):  # the i-th digit from the right goes to byte ndigits - 1 - i
+        byte = v // np.uint64(10**i) % np.uint64(10) + np.uint64(ord("0"))
+        # past the last digit the shift wraps around; np.where drops those
+        digits |= np.where(i < ndigits, byte << (np.uint64(8) * (ndigits - 1 - i)), 0)
+    end = np.uint64(8) * ndigits  # the bit the digits end at
+    comma = np.uint64(ord(",")) << (end + np.uint64(8))
+    x_words = np.uint64(ord("[")) | digits << np.uint64(8) | comma
+    y_words = digits | np.uint64(ord("]")) << end | comma
+    return x_words, y_words
+
+
 def _points_json(points: np.ndarray) -> str:
-    # json writes an int with int.__repr__, which is what %d gives
-    return ("[" + ",".join(["[%d,%d]"] * len(points)) + "]") % tuple(points.ravel().tolist())
+    """The text of `json.dumps(points.tolist(), separators=(",", ":"))` for
+    an (n, 2) int64 array."""
+    global _word_tables
+    if not len(points):
+        return "[]"
+    top = int(points.view(np.uint64).max())  # a negative value reads as past the limit
+    if top >= _WORD_LIMIT:  # json writes an int with int.__repr__, which is what %d gives
+        return ("[" + ",".join(["[%d,%d]"] * len(points)) + "]") % tuple(points.ravel().tolist())
+    tables = _word_tables  # read once, so a smaller table stored meanwhile is never indexed
+    if tables is None or top >= len(tables[0]):
+        tables = _word_tables = _coordinate_words(1 << top.bit_length())
+    x_words, y_words = tables
+    words = np.empty(points.shape, dtype="<u8")  # the words' bytes in text order on any host
+    words[:, 0] = x_words[points[:, 0]]
+    words[:, 1] = y_words[points[:, 1]]
+    text = words.tobytes().translate(None, b"\0")
+    return "[" + text[:-1].decode("ascii") + "]"
 
 
 def _record_json(record: PoseRecord, confidence: float | None) -> str:
@@ -536,7 +574,9 @@ def record_lines(
     records: Sequence[PoseRecord], confidences: Sequence[float] | None = None
 ) -> Iterator[str]:
     """One JSON line per record, with `confidences[i]`, when given, as the
-    `confidence` field of the i-th, last.
+    `confidence` field of the i-th, last.  `confidences` must hold one value
+    per record; a length that differs raises InvariantViolation before the
+    first line.
 
     A parsed record is written as its source line, the confidence appended
     through the strict, compact encoder, so unknown keys, key order and
@@ -544,6 +584,8 @@ def record_lines(
     whose source already holds a top-level `confidence`, gets the compact
     encoding of `serialize_record` instead.
     """
+    if confidences is not None and len(confidences) != len(records):
+        raise InvariantViolation(f"{len(records)} records but {len(confidences)} confidences")
     for i, record in enumerate(records):
         source = record.source
         confidence = None if confidences is None else confidences[i]

@@ -181,6 +181,18 @@ class TestStartUp:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
 
+    def test_start_up_builds_no_word_table(self):
+        # the encoder's word tables are built on first use, by a command that
+        # writes inlier arrays, never by the start-up every stage pays
+        child = ("import poseconf.cli\nfrom poseconf import dataset_io\n"
+                 "after_import = dataset_io._word_tables\n"
+                 "poseconf.cli.main(['--version'])\n"
+                 "print(after_import, dataset_io._word_tables)\n")
+        proc = subprocess.run([sys.executable, "-c", child], env=child_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "None None"
+
 
 class TestSynth:
     def test_writes_expected_record_count(self, tmp_path):

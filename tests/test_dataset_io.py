@@ -374,6 +374,17 @@ class TestSerialization:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["scored.jsonl"]
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_confidence_count_unlike_the_record_count_is_refused(self, tmp_path, count):
+        record = parse_record(record_obj())
+        confidences = [0.5] * count
+        with pytest.raises(InvariantViolation, match=f"^2 records but {count} confidences$"):
+            list(record_lines([record, record], confidences))
+        path = tmp_path / "scored.jsonl"
+        with pytest.raises(InvariantViolation):
+            write_records([record, record], path, confidences)
+        assert list(tmp_path.iterdir()) == []  # neither the file nor a temporary one
+
 
 class TestSourcePassThrough:
     """A parsed record is written back as its source line unless a confidence is added."""
@@ -451,9 +462,15 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def inlier_sets(draw, n):
     """n inliers anywhere on an image up to 2**62 pixels wide, the far edge
-    (beyond float precision on the widest images) included."""
-    width = draw(st.integers(1, 2**62) | st.just(2**62))
-    dims = ImageDims(width, draw(st.integers(1, min(2**62, INT64_MAX // width))))
+    (beyond float precision on the widest images) included, and sizes on
+    both sides of the encoder's word-table limit (2**16) among the draws."""
+
+    def sizes(top):
+        edges = [size for size in (2**16 - 1, 2**16, 2**16 + 1, 10**6 + 1) if size <= top]
+        return st.integers(1, top) | st.sampled_from([*edges, top])
+
+    width = draw(sizes(2**62))
+    dims = ImageDims(width, draw(sizes(min(2**62, INT64_MAX // width))))
 
     def coordinate(size):
         return st.integers(0, size - 1) | st.just(size - 1)
@@ -512,6 +529,16 @@ def test_record_lines_match_the_reference_encoding(record, confidence):
     # a confidence goes after the schema fields
     schema = list(serialize_record(record))
     assert list(json.loads(line)) == schema + ["confidence"] * (confidence is not None)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[], [[0, 0]], [[7, 42], [305, 4096], [12345, 1]], [[10**5, 999999]],
+     [[2**16 - 1, 2**16 - 1]], [[2**16, 0]], [[0, 10**6]], [[2**62 - 1, 3]]],
+)
+def test_points_json_matches_json(points):
+    array = np.array(points, dtype=np.int64).reshape(-1, 2)
+    assert dataset_io._points_json(array) == json.dumps(array.tolist(), separators=(",", ":"))
 
 
 @st.composite
