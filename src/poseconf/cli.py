@@ -190,10 +190,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     loaded = read_records(args.data)
     records = build_extended(loaded)
-    label_records(records, threshold)  # validate ground truth up front
+    labels = label_records(records, threshold)  # validates ground truth up front
     train_records, test_records = grouped_split(records, spec)
-    labels = label_records(train_records, threshold)
-    result = train(train_records, labels, feature_set)
+    train_ids = {r.query_id for r in train_records}  # grouped_split keeps input order
+    result = train(train_records, labels[[r.query_id in train_ids for r in records]], feature_set)
 
     save_model(result.model, args.out)
     if args.test_out:

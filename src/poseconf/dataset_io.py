@@ -310,11 +310,13 @@ _INLIER_KEYS = ("query_inliers", "db_inliers")  # also the PoseRecord attribute 
 # An inlier array written right after its key, compact, each coordinate a
 # non-negative integer of at most 18 digits without a leading zero: text that
 # np.fromstring reads exactly (it would take "01" and "-0", and clamp values
-# past int64 without a warning).
-_COORD = r"(?:0|[1-9][0-9]{0,17})"
+# past int64 without a warning).  Every repetition is possessive: after a
+# coordinate's digits, the last pair and the optional group, only "," or "]"
+# may follow, so giving any of them back never lets a match succeed.
+_COORD = r"(?:0|[1-9][0-9]{0,17}+)"
 _PAIR = rf"\[{_COORD},{_COORD}\]"
 _INLIER_TEXT = {
-    key: (f'"{key}"', re.compile(rf'"{key}":(\[(?:{_PAIR}(?:,{_PAIR})*)?\])'))
+    key: (f'"{key}"', re.compile(rf'"{key}":(\[(?:{_PAIR}(?:,{_PAIR})*+)?+\])'))
     for key in _INLIER_KEYS
 }
 _NO_BRACKETS = str.maketrans("", "", "[]")
@@ -422,14 +424,21 @@ def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
     Each record keeps its line, without the surrounding JSON whitespace, as
     its `source`.  Any failure carries the 1-based line number it occurred on,
     and the first failure in line order is raised, with the type, field and
-    message `parse_record` gives that line.  A line whose inlier arrays are
-    plain `[[x,y],...]` text has each array converted from that text
-    (`_decode_with_inliers`); every other line is decoded whole.  The poses
-    of the file are one `_Poses` batch, as a line's are in `parse_record`.
+    message `parse_record` gives that line.  A line that is not ASCII must
+    encode, through `surrogateescape`, to bytes that decode as UTF-8.  A line
+    whose inlier arrays are plain `[[x,y],...]` text has each array converted
+    from that text (`_decode_with_inliers`); every other line is decoded
+    whole.  The poses of the file are one `_Poses` batch, as a line's are in
+    `parse_record`.
     """
     poses = _Poses()
     try:
         for line_no, raw in enumerate(lines, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeError as exc:
+                    raise SchemaError(line=line_no, message=f"not UTF-8 text: {exc.reason}") from None
             if not raw.strip():
                 continue
             obj, points = _decode_with_inliers(raw) or (None, None)
@@ -448,19 +457,9 @@ def parse_records(lines: Iterable[str]) -> list[PoseRecord]:
 
 
 def read_records(path: str | os.PathLike) -> list[PoseRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse_records(fh)
-        except UnicodeDecodeError as exc:  # its offset is into a buffered chunk
-            message = f"not UTF-8 text: {exc.reason}"
-    # name the line of the first bad byte; no UTF-8 sequence holds b"\n"
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise SchemaError(line=line_no, message=message) from None
-    raise SchemaError(message=message)  # the file changed since it was read
+    """Parse a record file in one pass; `parse_records` checks each line as UTF-8."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return parse_records(fh)
 
 
 def _record_fields(record: PoseRecord, confidence: float | None) -> dict:

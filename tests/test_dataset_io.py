@@ -42,7 +42,8 @@ from poseconf.errors import (
 )
 from poseconf import pose_metrics
 from poseconf.pose_metrics import ErrorThreshold, refused_poses
-from test_error_contract import RECORD_DOCS, mutate
+from poseconf.cli import main
+from test_error_contract import MODEL_TEXT, RECORD_DOCS, mutate
 
 IDENTITY = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
@@ -791,16 +792,61 @@ def test_a_line_names_its_other_fault_before_its_pose(pose_fault, other_fault, e
     assert isinstance(alone, tuple) and alone[1] == 1 and alone[3] != error[3]
 
 
-def test_a_bad_pose_fails_before_a_later_undecodable_byte(tmp_path):
-    doc = RECORD_DOCS[0]
-    bad_pose = compact({**doc, "rotation": [-v for v in doc["rotation"]]})
-    text = "".join(line + "\n" for line in [bad_pose, *[SYNTH_LINES[0]] * 50]).encode()
-    assert len(text) > 2 * 8192  # the bad byte is past the first chunk the reader decodes
+# a text file is decoded in chunks of 8 KB; 3 lines of about 280 bytes stay
+# inside the first, 100 reach past the third
+@pytest.mark.parametrize("copies", [3, 100], ids=["first-chunk", "later-chunk"])
+def test_a_bad_pose_fails_before_a_later_undecodable_byte(tmp_path, copies):
+    bad_pose = compact(record_obj(rotation=[-v for v in IDENTITY]))
+    text = "".join(line + "\n" for line in [bad_pose, *[compact(record_obj())] * copies]).encode()
     path = tmp_path / "records.jsonl"
     path.write_bytes(text + b"\xff\n")
     with pytest.raises(InvariantViolation) as info:
         read_records(path)
     assert info.value.line == 1
+
+
+MISSING_RANK = "line 1: field 'candidate_rank': missing required field"
+
+
+def test_a_missing_field_fails_before_an_undecodable_byte_in_its_chunk(tmp_path, capsys):
+    ranks = [compact(record_obj(candidate_rank=k)).encode() for k in (1, 2, 3)]
+    lines = [b'{"query_id": "q"}', *ranks, b'{"x": "\xff"}']  # 5 lines, 860 bytes
+    data = tmp_path / "records.jsonl"
+    data.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(SchemaError) as info:
+        read_records(data)
+    assert (info.value.line, str(info.value)) == (1, MISSING_RANK)
+    model = tmp_path / "model.json"
+    model.write_text(MODEL_TEXT)
+    argv = ["score", "--data", str(data), "--model", str(model), "--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: SchemaError: {MISSING_RANK}\n"
+
+
+@pytest.mark.parametrize(
+    "char, reason",
+    [("\udcff", "invalid start byte"), ("\ud800", "surrogates not allowed")],
+    ids=["escaped-byte", "lone-surrogate"],
+)
+def test_a_lone_surrogate_from_a_caller_is_not_utf8(char, reason):
+    doc = {**RECORD_DOCS[1], "query_id": "q" + char}
+    lines = [compact(RECORD_DOCS[0]), json.dumps(doc, separators=(",", ":"), ensure_ascii=False)]
+    with pytest.raises(SchemaError) as info:
+        parse_records(lines)
+    assert str(info.value) == f"line 2: not UTF-8 text: {reason}"
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_every_line_end_ends_a_line(tmp_path, end):
+    lines = [compact(d) for d in RECORD_DOCS[:3]]
+    path = tmp_path / "records.jsonl"
+    encoded = [line.encode() for line in lines]
+    path.write_bytes(b"".join(line + end for line in encoded))
+    assert [r.source for r in read_records(path)] == lines
+    path.write_bytes(b"".join(line + end for line in [*encoded[:2], b'{"x": "\xff"}']))
+    with pytest.raises(SchemaError) as info:  # the bad byte's line counts every line end
+        read_records(path)
+    assert str(info.value) == "line 3: not UTF-8 text: invalid start byte"
 
 
 # one-pixel-high images 2**62 wide, so 18- and 19-digit coordinates fit
@@ -826,9 +872,11 @@ READER_CASES = {
     "base": (BASE, True),
     "padded": (" \t" + BASE + " \r\n", True),
     "spaces in an array": (with_query('"query_inliers":[[4, 0],[10,0],[20,0]]'), False),
+    "space between pairs": (with_query('"query_inliers":[[4,0], [10,0],[20,0]]'), False),
     "space after the key": (with_query('"query_inliers": [[4,0],[10,0],[20,0]]'), False),
     "leading zero": (with_query('"query_inliers":[[04,0],[10,0],[20,0]]'), False),
     "zero then digits": (with_query('"query_inliers":[[0,0],[10,0],[20,018]]'), False),
+    "zeros": (with_query('"query_inliers":[[0,0],[10,0],[20,0]]'), True),
     "minus zero": (with_query('"query_inliers":[[-0,0],[10,0],[20,0]]'), False),
     "negative": (with_query('"query_inliers":[[-1,0],[10,0],[20,0]]'), False),
     "exponent": (with_query('"query_inliers":[[1e2,0],[10,0],[20,0]]'), False),
@@ -847,6 +895,9 @@ READER_CASES = {
     "one coordinate": (with_query('"query_inliers":[[4],[10,0],[20,0]]'), False),
     "flat": (with_query('"query_inliers":[4,4,10,7,20,18]'), False),
     "empty pair": (with_query('"query_inliers":[[],[10,0],[20,0]]'), False),
+    "trailing comma": (with_query('"query_inliers":[[4,0],[10,0],[20,0],]'), False),
+    "missing bracket": (with_query('"query_inliers":[[4,0],[10,0],[20,0]'), False),
+    "extra bracket": (with_query('"query_inliers":[[4,0],[10,0],[20,0]]]'), False),
     "outside the image": (with_query('"query_inliers":[[4,0],[10,0],[20,1]]'), True),
     "placeholder then a fraction": (with_query(QUERY + ".5"), False),
     "placeholder then an exponent": (with_query(QUERY + "e5"), False),
@@ -876,7 +927,8 @@ READER_CASES = {
 
 # the cases that hold a valid record; every other one fails
 READER_CASES_THAT_PARSE = {
-    "base", "padded", "spaces in an array", "space after the key", "minus zero",
+    "base", "padded", "spaces in an array", "space between pairs", "space after the key",
+    "zeros", "minus zero",
     "18 digits", "19 digits", "empty arrays", "duplicate key", "duplicate key first",
     "nested namesake", "key name as a string", "key name in a string", "escape elsewhere",
 }
