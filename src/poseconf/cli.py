@@ -25,7 +25,6 @@ from .dataset_io import (
     SplitSpec,
     SynthConfig,
     build_extended,
-    group_by_query,
     grouped_split,
     label_records,
     read_records,
@@ -33,14 +32,7 @@ from .dataset_io import (
     write_records,
 )
 from .errors import EmptyDataset, InvalidConfig, InvariantViolation, PoseconfError
-from .evaluation import (
-    ablation,
-    accuracy_at,
-    pr_curve_from_scores,
-    select_max_inliers,
-    select_per_query,
-    sweep_scores,
-)
+from .evaluation import ablation, accuracy_at, select_per_query, sweep_scores
 from .features import FEATURE_INLIER_COUNT, feature_matrix, parse_feature_set
 from .fileio import atomic_open, check_writable
 from .plots import line_plot_svg, write_svg
@@ -49,7 +41,7 @@ from .pose_metrics import ErrorThreshold
 # Bound but not called: the benchmark tracer (perfbench/trace.py) wraps these here.
 from .confidence_model import predict_record  # noqa: F401
 from .dataset_io import serialize_record  # noqa: F401
-from .evaluation import select_best  # noqa: F401
+from .evaluation import pr_curve_from_scores, select_best, select_max_inliers  # noqa: F401
 
 
 def _file_key(path: str) -> tuple[str, tuple[int, int] | None]:
@@ -257,7 +249,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     records = read_records(args.data)
     if not records:
         raise EmptyDataset(f"no records in {args.data}")
-    n_queries = len(group_by_query(records))
+    n_queries = len({r.query_id for r in records})
 
     params = model.coverage_params()
     x_test = feature_matrix(records, model.feature_set, params)  # what score_records builds
@@ -269,7 +261,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         x_test = x_test[picks]
     rows = sweep_scores(records, scores, thresholds)
     primary = rows[0]
-    primary_labels = label_records(records, thresholds[0])
 
     ablation_rows = None
     facts = None
@@ -289,7 +280,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             train_labels,
             x_test,
             test_columns,
-            primary_labels,
+            label_records(records, thresholds[0]),
             _leave_one_out_subsets(model.feature_set),
             params=params,
         )
@@ -304,20 +295,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         del paths["pr_curves.csv"], paths["pr_curves.svg"]  # not written, so not in the manifest
     else:
-        counts = np.asarray([float(r.inlier_count) for r in records])
-        model_curve = pr_curve_from_scores(scores, primary_labels)
-        inliers_curve = pr_curve_from_scores(counts, primary_labels)
-        curve_rows = [
-            [name, repr(recall), repr(precision)]
-            for name, curve in (("model", model_curve), ("inliers", inliers_curve))
-            for recall, precision in curve.points
-        ]
-        _write_csv(paths["pr_curves.csv"], ["curve", "recall", "precision"], curve_rows)
+        curves = [("model", primary.model_curve.points), ("inliers", primary.inliers_curve.points)]
+        _write_csv(paths["pr_curves.csv"], ["curve", "recall", "precision"], [
+            [name, repr(r), repr(p)] for name, points in curves for r, p in points
+        ])
         write_svg(
-            line_plot_svg(
-                [("model", model_curve.points), ("inliers", inliers_curve.points)],
-                "Precision-recall", "recall", "precision",
-            ),
+            line_plot_svg(curves, "Precision-recall", "recall", "precision"),
             paths["pr_curves.svg"],
         )
 
@@ -402,9 +385,8 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     scores = score_records(model, records).tolist()
     picks = select_per_query(records, scores)
     model_selected = [records[i] for i in picks]
-    baseline_selected = [
-        group[select_max_inliers(group)] for group in group_by_query(records).values()
-    ]
+    counts = [float(r.inlier_count) for r in records]
+    baseline_selected = [records[i] for i in select_per_query(records, counts)]
     accuracy_rows = [
         (
             threshold.max_translation_m,
@@ -562,10 +544,15 @@ def entry() -> None:
     process ends through `os._exit` once both streams are flushed: every
     file is closed by then, and tearing the interpreter down would only free
     memory that the exit returns anyway.  A closed stdout ends the run with
-    one error line, buffered or not.
+    one error line, buffered or not, and so does an interrupt (Ctrl-C, exit
+    130); by then `atomic_open` has removed any output's temporary file.
     """
     gc.freeze()
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130
     try:
         sys.stdout.flush()
     except BrokenPipeError as exc:

@@ -51,7 +51,7 @@ _GRAD_INF_STOP = 1e-10
 
 
 def logsig(m):
-    """Numerically stable sigmoid; returns a float for scalar input.
+    """Numerically stable sigmoid in [0, 1]; returns a float for scalar input.
 
     Both np.where branches are evaluated, so each one clips its exp
     argument to the sign range it owns — neither can overflow.
@@ -135,10 +135,19 @@ class ConfidenceModel(Frozen):
 
 
 def predict(model: ConfidenceModel, features) -> np.ndarray | float:
-    """Confidence in (0, 1) for raw (unstandardized) feature vector(s)."""
+    """Confidence in [0, 1] for raw (unstandardized) feature vector(s).
+
+    Each margin is summed elementwise, column by column and then the bias,
+    not by `z @ w`, whose rounding depends on the number of rows; so a row
+    scores the same bits alone, as a 1-D vector, or in any batch.
+    """
     # finite model numbers can still overflow on these features
     with np.errstate(over="ignore", invalid="ignore"):
-        margin = apply_standardizer(model.standardizer, features) @ model.weights + model.bias
+        z = apply_standardizer(model.standardizer, features)
+        margin = z[..., 0] * model.weights[0]
+        for j in range(1, len(model.weights)):
+            margin = margin + z[..., j] * model.weights[j]
+        margin = margin + model.bias
     if not np.all(np.isfinite(margin)):
         raise InvariantViolation("model score overflows on these features")
     return logsig(margin)
@@ -148,7 +157,7 @@ def score_records(model: ConfidenceModel, records: Sequence["PoseRecord"]) -> np
     """Confidences, shape (n,), for records, using the coverage settings the
     model was trained with.  `score` and `rerank` score through this
     function; `eval` builds the same matrix itself to reuse it for
-    `--ablate`."""
+    `--ablate`.  A record's confidence does not depend on the others."""
     return predict(model, feature_matrix(records, model.feature_set, model.coverage_params()))
 
 

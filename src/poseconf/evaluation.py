@@ -21,15 +21,13 @@ from .errors import EmptyCandidates, EmptyDataset, InvariantViolation, NoPositiv
 from .features import FEATURE_INLIER_COUNT, feature_matrix, parse_feature_set
 from .pose_metrics import ErrorThreshold
 
-_AUC_CONSISTENCY_TOL = 1e-9
-
 
 class PRCurve(Frozen):
-    """Points (recall, precision) ordered by recall, plus their trapezoid area."""
+    """Points (recall, precision) ordered by recall; `auc` is their trapezoid area."""
 
-    __slots__ = _fields = ("points", "auc")
+    __slots__ = _fields = ("points",)
 
-    def __init__(self, points: tuple[tuple[float, float], ...], auc: float):
+    def __init__(self, points: tuple[tuple[float, float], ...]):
         points = tuple((float(r), float(p)) for r, p in points)
         if not points:
             raise InvariantViolation("a curve needs at least one point")
@@ -39,19 +37,14 @@ class PRCurve(Frozen):
         recalls = [r for r, _ in points]
         if any(b < a for a, b in zip(recalls, recalls[1:])):
             raise InvariantViolation("recall must be non-decreasing along the curve")
-        if not (0.0 <= auc <= 1.0):
-            raise InvariantViolation(f"auc must lie in [0, 1], got {auc}")
-        if len(points) >= 2 and abs(auc - _trapezoid(points)) > _AUC_CONSISTENCY_TOL:
-            raise InvariantViolation("stored auc does not match the curve points")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "auc", float(auc))
 
-
-def _trapezoid(points: Sequence[tuple[float, float]]) -> float:
-    total = 0.0
-    for (r0, p0), (r1, p1) in zip(points, points[1:]):
-        total += (r1 - r0) * (p0 + p1) / 2.0
-    return total
+    @property
+    def auc(self) -> float:
+        total = 0.0
+        for (r0, p0), (r1, p1) in zip(self.points, self.points[1:]):
+            total += (r1 - r0) * (p0 + p1) / 2.0
+        return total
 
 
 def pr_curve_from_scores(scores, labels) -> PRCurve:
@@ -86,7 +79,7 @@ def pr_curve_from_scores(scores, labels) -> PRCurve:
     precision = true_pos / predicted_pos
     points = [(0.0, float(precision[0]))]
     points.extend((float(r), float(p)) for r, p in zip(recall, precision))
-    return PRCurve(tuple(points), _trapezoid(points))
+    return PRCurve(tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +196,30 @@ def ablation(
 
 
 class SweepRow(Frozen):
-    """One relabeling of the evaluation set: both AUCs, or a degenerate marker."""
+    """One relabeling of the evaluation set: the model's and the inlier
+    count's PR curves, both None when the labeling is single-class."""
 
-    __slots__ = _fields = ("threshold", "n_records", "n_positive", "model_auc", "inliers_auc")
+    __slots__ = _fields = ("threshold", "n_records", "n_positive", "model_curve", "inliers_curve")
 
     def __init__(self, threshold: ErrorThreshold, n_records: int, n_positive: int,
-                 model_auc: float | None, inliers_auc: float | None):
+                 model_curve: PRCurve | None, inliers_curve: PRCurve | None):
         object.__setattr__(self, "threshold", threshold)
         object.__setattr__(self, "n_records", n_records)
         object.__setattr__(self, "n_positive", n_positive)
-        object.__setattr__(self, "model_auc", model_auc)
-        object.__setattr__(self, "inliers_auc", inliers_auc)
+        object.__setattr__(self, "model_curve", model_curve)
+        object.__setattr__(self, "inliers_curve", inliers_curve)
 
     @property
     def degenerate(self) -> bool:
-        return self.model_auc is None
+        return self.model_curve is None
+
+    @property
+    def model_auc(self) -> float | None:
+        return None if self.model_curve is None else self.model_curve.auc
+
+    @property
+    def inliers_auc(self) -> float | None:
+        return None if self.inliers_curve is None else self.inliers_curve.auc
 
 
 def sweep_scores(
@@ -225,10 +227,11 @@ def sweep_scores(
     scores,
     thresholds: Sequence[ErrorThreshold],
 ) -> list[SweepRow]:
-    """Relabel the records at each threshold and compare score vs count AUC.
+    """Relabel the records at each threshold and build the score and count
+    PR curves.
 
     Only the labels change between rows.  Single-class labelings (nothing
-    correct, or everything correct) give a degenerate row with both AUCs
+    correct, or everything correct) give a degenerate row with both curves
     absent.
     """
     counts = np.asarray([float(r.inlier_count) for r in records])
@@ -237,15 +240,8 @@ def sweep_scores(
         labels = label_records(records, threshold)
         n_pos = int(labels.sum())
         if n_pos == 0 or n_pos == len(labels):
-            rows.append(SweepRow(threshold, len(labels), n_pos, None, None))
-            continue
-        rows.append(
-            SweepRow(
-                threshold,
-                len(labels),
-                n_pos,
-                pr_curve_from_scores(scores, labels).auc,
-                pr_curve_from_scores(counts, labels).auc,
-            )
-        )
+            curves = (None, None)
+        else:
+            curves = (pr_curve_from_scores(scores, labels), pr_curve_from_scores(counts, labels))
+        rows.append(SweepRow(threshold, len(labels), n_pos, *curves))
     return rows

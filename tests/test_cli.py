@@ -12,8 +12,10 @@ import hashlib
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -27,8 +29,14 @@ import poseconf.features
 from conftest import make_record
 from poseconf.cli import main
 from poseconf.confidence_model import load_model, score_records
-from poseconf.dataset_io import build_extended, read_records, serialize_record, write_records
-from poseconf.evaluation import sweep_scores
+from poseconf.dataset_io import (
+    build_extended,
+    group_by_query,
+    read_records,
+    serialize_record,
+    write_records,
+)
+from poseconf.evaluation import accuracy_at, select_max_inliers, sweep_scores
 from poseconf.pose_metrics import ErrorThreshold
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -145,6 +153,31 @@ class TestEntry:
         assert proc.stderr.splitlines() == ["error: [Errno 32] Broken pipe"]
         assert len(read_records(tmp_path / "data.jsonl")) == 4
         assert (tmp_path / "data.jsonl.manifest.json").is_file()
+
+    def test_interrupt_ends_on_one_line_and_leaves_no_file(self, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "poseconf.cli", "synth", "--queries", "20000",
+             "--out", str(out_dir / "out.jsonl")],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            # a shell may start the test runner with SIGINT ignored, which the child inherits
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            # interrupt as soon as the records are being written
+            deadline = time.monotonic() + 120
+            while not any(p.name.endswith(".tmp") for p in out_dir.iterdir()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130
+        assert err.splitlines() == ["error: interrupted"]
+        assert list(out_dir.iterdir()) == []
 
 
 class TestStartUp:
@@ -649,12 +682,14 @@ class TestEval:
             (row.n_positive, row.model_auc, row.inliers_auc) for row in sweep
         ]
 
+        # and the curves are the sweep's primary ones, written as they were built
         with open(out_dir / "pr_curves.csv", newline="") as fh:
-            curves = list(csv.DictReader(fh))
-        assert {r["curve"] for r in curves} == {"model", "inliers"}
-        for row in curves:
-            assert 0.0 <= float(row["recall"]) <= 1.0
-            assert 0.0 <= float(row["precision"]) <= 1.0
+            curves = [tuple(row) for row in csv.reader(fh)]
+        assert curves == [("curve", "recall", "precision")] + [
+            (name, repr(recall), repr(precision))
+            for name, curve in (("model", sweep[0].model_curve), ("inliers", sweep[0].inliers_curve))
+            for recall, precision in curve.points
+        ]
 
     def test_ablation_needs_train_data(self, workspace, tmp_path):
         code = main(["eval", "--data", str(workspace["test"]),
@@ -916,6 +951,36 @@ class TestRerank:
         assert len(rows) == 1
         assert float(rows[0]["model_accuracy"]) == 1.0
         assert float(rows[0]["max_inliers_accuracy"]) == 1.0
+
+    def test_max_inliers_baseline_breaks_ties_by_rank(self, workspace, tmp_path):
+        from conftest import pose_at
+
+        right, wrong = pose_at((0.0, 0.0, 0.0)), pose_at((5.0, 0.0, 0.0))
+        four = ((4, 4), (10, 7), (20, 18), (30, 20))
+
+        def candidate(query_id, rank, pose, points=four[:3]):
+            return make_record(query_id, rank, query_points=points, db_points=points,
+                               estimated_pose=pose, ground_truth_pose=right)
+
+        records = [
+            candidate("tie", 1, wrong), candidate("tie", 2, right),  # 3 inliers each
+            candidate("more", 1, right), candidate("more", 2, wrong, four),
+            candidate("fewer", 1, wrong), candidate("fewer", 2, right, four),
+        ]
+        data = tmp_path / "ties.jsonl"
+        write_records(records, data)
+        out_dir = tmp_path / "rerank"
+        assert main(["rerank", "--data", str(data), "--model", str(workspace["model"]),
+                     "--out-dir", str(out_dir), "--thresholds-m", "1.0"]) == 0
+        picks = [group[select_max_inliers(group)] for group in group_by_query(records).values()]
+        # the tie goes to rank 1, which is wrong; "fewer" picks its right rank 2
+        assert [(r.query_id, r.candidate_rank) for r in picks] == [
+            ("tie", 1), ("more", 2), ("fewer", 2)
+        ]
+        with open(out_dir / "accuracy.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["max_inliers_accuracy"] == repr(accuracy_at(picks, ErrorThreshold(1.0, 10.0)))
+        assert float(row["max_inliers_accuracy"]) == 1 / 3
 
     @pytest.mark.parametrize(
         "flag", [["--thresholds-m=-1"], ["--threshold-deg", "200"]], ids=["meters", "degrees"]

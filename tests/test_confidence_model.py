@@ -2,11 +2,13 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_record
 from poseconf import confidence_model
@@ -40,12 +42,16 @@ from poseconf.errors import (
     DimensionMismatch,
     EmptyDataset,
     InvalidConfig,
+    InvariantViolation,
     SchemaError,
     SingleClassData,
 )
 from poseconf.features import (
     DEFAULT_FEATURE_SET,
     FEATURE_INLIER_COUNT,
+    KNOWN_FEATURES,
+    STD_FLOOR,
+    Standardizer,
     feature_matrix,
     identity_standardizer,
 )
@@ -353,6 +359,75 @@ class TestPredict:
             ConfidenceModel(
                 ("inlier_count",), np.array([1.0]), 0.0, identity_standardizer(2)
             )
+
+
+# Each example draws its numbers from one of these ranges.  The largest,
+# the float range, admits every finite model and feature value; the smaller
+# ones keep most margins where a confidence still has bits to lose.
+BOUNDS = (10.0, 1e3, sys.float_info.max)
+
+
+@st.composite
+def finite_models(draw, bound):
+    """A model over the first k of the known features, k in 1..4, whose
+    numbers lie in [-bound, bound]."""
+    k = draw(st.integers(1, 4))
+    values = arrays(np.float64, k, elements=st.floats(-bound, bound))
+    return ConfidenceModel(
+        KNOWN_FEATURES[:k],
+        draw(values),
+        draw(st.floats(-bound, bound)),
+        Standardizer(draw(values), draw(arrays(np.float64, k, elements=st.floats(STD_FLOOR, bound)))),
+    )
+
+
+def _bits(model, x):
+    """predict's float64 bits for x, or None where its margin overflows."""
+    try:
+        return np.asarray(predict(model, x), dtype=np.float64).tobytes()
+    except InvariantViolation:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_rows_confidence_does_not_depend_on_its_batch(data):
+    bound = data.draw(st.sampled_from(BOUNDS), label="bound")
+    model = data.draw(finite_models(bound), label="model")
+    n = data.draw(st.integers(1, 40), label="n")
+    x = data.draw(arrays(np.float64, (n, len(model.feature_set)),
+                         elements=st.floats(-bound, bound)), label="x")
+    alone = [_bits(model, row) for row in x]  # each row as a 1-D vector
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)), label="cuts")) if n > 1 else []
+    for start, stop in zip([0, *cuts], [*cuts, n]):
+        chunk = alone[start:stop]
+        # a chunk overflows exactly where one of its rows does alone
+        expected = None if None in chunk else b"".join(chunk)
+        assert _bits(model, x[start:stop]) == expected
+    assert _bits(model, x) == (None if None in alone else b"".join(alone))
+
+
+PV_RECORDS = build_extended(
+    synth_generate(SynthConfig(queries=8, candidates_per_query=5, width=96, height=72,
+                               include_pv=True), 9)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_records_confidence_alone_is_its_confidence_in_the_file(data):
+    model = data.draw(finite_models(data.draw(st.sampled_from(BOUNDS))), label="model")
+    alone = []
+    for record in PV_RECORDS:
+        try:
+            alone.append(np.float64(predict_record(model, record)).tobytes())
+        except InvariantViolation:
+            alone.append(None)
+    try:
+        in_file = score_records(model, PV_RECORDS).tobytes()
+    except InvariantViolation:
+        in_file = None
+    assert in_file == (None if None in alone else b"".join(alone))
 
 
 class TestRawSpaceParameters:

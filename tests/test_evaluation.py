@@ -138,11 +138,14 @@ class TestPRCurveValidation:
 
     def test_curve_invariants_enforced(self):
         with pytest.raises(InvariantViolation):
-            PRCurve(((0.0, 1.5),), 0.5)  # precision above 1
+            PRCurve(((0.0, 1.5),))  # precision above 1
         with pytest.raises(InvariantViolation):
-            PRCurve(((0.5, 1.0), (0.2, 1.0)), 0.5)  # recall goes backwards
-        with pytest.raises(InvariantViolation):
-            PRCurve(((0.0, 1.0), (1.0, 1.0)), 0.123)  # area inconsistent
+            PRCurve(((0.5, 1.0), (0.2, 1.0)))  # recall goes backwards
+
+    def test_area_comes_from_the_points(self):
+        assert PRCurve(((0.0, 1.0), (1.0, 1.0))).auc == 1.0
+        assert PRCurve(((0.0, 1.0), (0.5, 1.0), (1.0, 0.5))).auc == 0.875
+        assert PRCurve(((0.0, 0.5),)).auc == 0.0
 
 
 

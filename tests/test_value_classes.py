@@ -62,9 +62,10 @@ def _cases():
         TrainResult: (("model", "final_loss", "epochs_run", "converged", "loss_history"),
                       (_model(), 0.5, 3, True, (0.7, 0.6, 0.5))),
         Standardizer: (("means", "stds"), (np.array([1.0, 2.0]), np.array([0.5, 4.0]))),
-        PRCurve: (("points", "auc"), (((0.0, 1.0), (1.0, 0.5)), 0.75)),
-        SweepRow: (("threshold", "n_records", "n_positive", "model_auc", "inliers_auc"),
-                   (ErrorThreshold(), 10, 4, 0.75, 0.5)),
+        PRCurve: (("points",), (((0.0, 1.0), (1.0, 0.5)),)),
+        SweepRow: (("threshold", "n_records", "n_positive", "model_curve", "inliers_curve"),
+                   (ErrorThreshold(), 10, 4, PRCurve(((0.0, 1.0), (1.0, 0.5))),
+                    PRCurve(((0.0, 0.5), (1.0, 0.5))))),
     }
 
 
@@ -137,7 +138,7 @@ def test_value_classes_compare_and_hash_by_value(cls):
         ImageDims: {"width": 321}, CoverageParams: {"neighborhood_fraction": 0.25},
         ErrorThreshold: {"max_translation_m": 0.75}, PoseError: {"translation_m": 0.5},
         SplitSpec: {"train_fraction": 0.25}, SynthConfig: {"queries": 5},
-        PRCurve: {"points": ((0.0, 1.0), (1.0, 0.0)), "auc": 0.5},
+        PRCurve: {"points": ((0.0, 1.0), (1.0, 0.0))},
         SweepRow: {"threshold": ErrorThreshold(0.5)}, TrainResult: {"loss_history": (0.7, 0.5)},
     }[cls]
     changed = _build(cls, **changes)
@@ -185,7 +186,7 @@ def test_copies_and_pickles_keep_every_field(cls):
     (SplitSpec(0.5, 3), "SplitSpec(train_fraction=0.5, seed=3)"),
     (SweepRow(ErrorThreshold(0.5), 4, 1, None, None),
      "SweepRow(threshold=ErrorThreshold(max_translation_m=0.5, max_rotation_deg=10.0), "
-     "n_records=4, n_positive=1, model_auc=None, inliers_auc=None)"),
+     "n_records=4, n_positive=1, model_curve=None, inliers_curve=None)"),
 ], ids=["ImageDims", "ErrorThreshold", "SplitSpec", "SweepRow"])
 def test_repr_names_each_field(obj, text):
     assert repr(obj) == text
